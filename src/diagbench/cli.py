@@ -9,9 +9,11 @@ rationals rendered as "p/q".  Exit codes: 0 success, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -368,6 +370,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path, text):
+    """Write text to path whole: through a temp file beside it and os.replace.
+
+    A failed write leaves no partial file.  A path that exists but is not a
+    regular file (a device or a pipe, e.g. /dev/stdout) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)  # replace a symlink's target, not the link
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the requested path, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -376,14 +405,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = args.func(args)
+        if args.output:
+            _write_output(args.output, text)
+        else:
+            sys.stdout.write(text)
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -3,8 +3,10 @@
 Seven closed-form counting formulas are compared pairwise by the exact ratio
 rho(n) = A(n)/B(n) over a sample schedule; the sequence of ratios is then
 classified as converging, tending to zero, or inconclusive under fixed
-thresholds.  A totient sieve supplies the exact count of lowest-terms
-fractions used by the grid and the correction factor f.
+thresholds.  One summatory-totient kernel, Phi(n) = phi(1) + ... + phi(n),
+supplies the exact count of lowest-terms fractions used by the rat-exact
+formula, the correction factor f and its figure series; it sieves only up to
+about n^(2/3) and recurses over the quotients n // d above that.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ EXPONENTIAL_SCHEDULE = (5, 10, 20, 40)
 DEFAULT_FIGURE2_SCHEDULE = (100, 316, 1000, 3162, 10000, 31623, 100000)
 
 
-def totient_sieve(n: int):
-    """phi(0..n) table; index 0 is a placeholder."""
+def _check_sieve_bound(n: int) -> None:
     if n < 1 or n > SIEVE_CAP:
         raise CapExceeded(f"sieve bound {n} outside 1..{SIEVE_CAP}")
+
+
+def totient_sieve(n: int):
+    """phi(0..n) table; index 0 is a placeholder."""
+    _check_sieve_bound(n)
     phi = list(range(n + 1))
     for p in range(2, n + 1):
         if phi[p] == p:  # untouched so far, hence prime
@@ -42,11 +48,55 @@ def totient_sieve(n: int):
     return phi
 
 
+def _icbrt(n: int) -> int:
+    """Largest r with r**3 <= n, for n >= 1 (Newton's method from above)."""
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+def totient_sums(ns) -> dict:
+    """{n: Phi(n)} for each n in ns, where Phi(n) = phi(1) + ... + phi(n).
+
+    One sieve up to about top^(2/3), for the largest requested n, gives Phi
+    below that bound by prefix sums.  Above it, grouping the n(n+1)/2 pairs
+    1 <= a <= b <= n by d = gcd(a, b) gives
+    Phi(n) = n(n+1)/2 - sum over d >= 2 of Phi(n // d), summed over blocks of
+    d that share one quotient and memoized, for O(top^(2/3)) work in all.
+    """
+    ns = tuple(ns)
+    for n in ns:
+        _check_sieve_bound(n)
+    small = list(itertools.accumulate(totient_sieve(_icbrt(max(ns, default=1)) ** 2)))
+    limit = len(small)
+    memo = {}
+
+    def phi_sum(n):
+        if n < limit:
+            return small[n]
+        total = memo.get(n)
+        if total is None:
+            total = n * (n + 1) // 2
+            d = 2
+            while d <= n:
+                q = n // d
+                last = n // q
+                total -= (last - d + 1) * (small[q] if q < limit else phi_sum(q))
+                d = last + 1
+            memo[n] = total
+        return total
+
+    return {n: phi_sum(n) for n in ns}
+
+
 def distinct_fraction_count(n: int) -> int:
     """Count of lowest-terms fractions a/b with 1 <= a < b <= n."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return sum(totient_sieve(n)[2:])
+    return totient_sums((n,))[n] - 1
 
 
 def correction_factor(n: int) -> Fraction:
@@ -176,7 +226,7 @@ def grid_6_4(n: int) -> FractionGrid:
 
 
 def figure2_data(schedule):
-    """Exact correction factor f(n) at each scheduled n, via one shared sieve."""
+    """Exact correction factor f(n) at each scheduled n, via one kernel call."""
     schedule = tuple(schedule)
     if not schedule:
         raise DomainError("schedule must be nonempty")
@@ -185,7 +235,7 @@ def figure2_data(schedule):
     top = max(schedule)
     if top > SIEVE_CAP:
         raise CapExceeded(f"sample point {top} above sieve cap {SIEVE_CAP}")
-    totals = list(itertools.accumulate(totient_sieve(top)))  # totals[n] = phi(1)+...+phi(n)
+    totals = totient_sums(schedule)
     return [(n, Fraction(totals[n] - 1, (n * n - n) // 2)) for n in schedule]
 
 

@@ -8,6 +8,7 @@ from it at position n, which is what the membership scan measures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,6 +60,11 @@ class Family(Enum):
     DECIMAL_29 = "decimal-29"
 
 
+def _is_digits(text: str) -> bool:
+    """Nonempty and ASCII 0-9 only; str.isdigit alone also admits e.g. "٣" and "²"."""
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Either an explicit finite array or a named rule family.
@@ -84,7 +90,7 @@ class ArraySpec:
         for r in rows:
             if len(r) != width:
                 raise DomainError("explicit rows must all have equal length")
-            if not r.isdigit():
+            if not _is_digits(r):
                 raise DomainError(f"row {r!r} contains a non-digit")
         return cls(rows=rows)
 
@@ -120,11 +126,12 @@ class ArraySpec:
     def is_family(self) -> bool:
         return self.kind is not None
 
-    @property
+    @functools.cached_property
     def radix(self) -> int:
+        # Cached on the instance: an explicit array is scanned once, not per use.
         if self.is_family:
             return 10 if self.kind is Family.DECIMAL_29 else 2
-        return 2 if all(c in "01" for r in self.rows for c in r) else 10
+        return 10 if any(r.strip("01") for r in self.rows) else 2
 
     @property
     def has_random_tail(self) -> bool:
@@ -356,7 +363,7 @@ def _scan_explicit(spec, candidate, depth):
         target = str(candidate)
         if len(target) != width:
             raise DomainError(f"candidate length {len(target)} != row length {width}")
-        if not target.isdigit():
+        if not _is_digits(target):
             raise DomainError("candidate must be a digit string")
     count = min(depth, len(spec.rows))
     diffs = {}

@@ -61,6 +61,10 @@ class DivisionByZero(DomainError):
     """Denominator formula evaluated to zero."""
 
 
+class ClosedFormMismatch(WorkbenchError):
+    """A closed-form table row disagrees with the exact coefficient quotient."""
+
+
 class ChainSyntaxError(WorkbenchError):
     """Chain text does not match the grammar; carries the offending position."""
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import (
     BoundTooSmall,
     CapExceeded,
+    ClosedFormMismatch,
     DomainError,
     NonIntegerLabel,
     OddN,
@@ -144,7 +145,7 @@ def table1_values(n: int, labels=None):
     for label in labels:
         d, q = _table_row(label, n)
         if q != ratio_q(n, d):
-            raise AssertionError(f"closed form for {label} disagrees at n={n}")
+            raise ClosedFormMismatch(f"closed form for {label} disagrees at n={n}")
         out.append((label, d, q))
     return out
 

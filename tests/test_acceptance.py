@@ -28,6 +28,7 @@ from diagbench.density import (
     PhiFormula,
     correction_factor,
     default_schedule,
+    figure2_data,
     grid_6_4,
     rho_limit,
     totient_sieve,
@@ -202,6 +203,16 @@ def test_density_suite():
     sieve = totient_sieve(10**5)
     assert grid_6_4(9).bold_count == 27 == sum(sieve[2:10])
     assert sieve[10**5] == 40000
+    budget.check()
+
+
+def test_figure2_reaches_the_sieve_cap():
+    budget = Budget(2)
+    top = 10**7  # SIEVE_CAP
+    points = dict(figure2_data((2, top)))
+    assert points[2] == 1
+    # OEIS A064018: phi(1) + ... + phi(10^7) = 30396356427242
+    assert points[top] == Fraction(30396356427242 - 1, (top * top - top) // 2)
     budget.check()
 
 

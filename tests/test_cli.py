@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
+import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -260,6 +262,75 @@ def test_domain_errors_exit_2(capsys):
 
     code, _, err = run(capsys, "diagonal", "--explicit", "/no/such/file")
     assert code == 2
+
+
+def test_output_to_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, "subsets", "figure1", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(target)!r}"
+    ]
+    assert not target.parent.exists()
+
+
+def test_failed_output_write_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("previous\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr("os.replace", refuse)
+    code, out, err = run(capsys, "subsets", "figure1", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: PermissionError:") and len(err.splitlines()) == 1
+    assert target.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_output_replaces_an_existing_file_through_a_symlink(tmp_path, capsys):
+    real = tmp_path / "real.csv"
+    real.write_text("a much longer previous content\n" * 10, encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    _, out, _ = run(capsys, "subsets", "figure1", "--n", "2")
+    assert main(["subsets", "figure1", "--n", "2", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    _, out, _ = run(capsys, "subsets", "figure1", "--n", "2")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["subsets", "figure1", "--n", "2", "--output", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got.decode("utf-8") == out
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("row", ["\u0663\u0663", "\u00b2"])  # Arabic-Indic 33, superscript 2
+def test_non_ascii_digit_rows_exit_2(tmp_path, capsys, row):
+    path = tmp_path / "rows.txt"
+    path.write_text(row + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "diagonal", "--explicit", str(path), "--candidate", "33")
+    assert code == 2 and out == ""
+    assert err == f"error: DomainError: row {row!r} contains a non-digit\n"
+
+
+def test_closed_form_mismatch_exits_2(capsys, monkeypatch):
+    from diagbench import subsets
+
+    monkeypatch.setattr(subsets, "ratio_q", lambda n, d: 0)
+    code, out, err = run(capsys, "subsets", "table1", "--n", "40", "--labels", "n/4")
+    assert code == 2 and out == ""
+    assert err == "error: ClosedFormMismatch: closed form for n/4 disagrees at n=40\n"
 
 
 def test_usage_errors_exit_2(capsys):

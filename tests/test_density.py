@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from diagbench.density import (
     rho_finite,
     rho_limit,
     totient_sieve,
+    totient_sums,
 )
 from diagbench.errors import BadSchedule, CapExceeded, DivisionByZero, DomainError
 
@@ -46,6 +49,57 @@ def test_sieve_caps():
         totient_sieve(0)
     with pytest.raises(CapExceeded):
         totient_sieve(10**7 + 1)
+
+
+# --- the summatory-totient kernel -------------------------------------------
+
+
+def test_kernel_matches_the_sieve_prefix_sums():
+    totals = list(itertools.accumulate(totient_sieve(2000)))  # sum(totient_sieve(n)[1:])
+    assert totient_sums(range(1, 2001)) == {n: totals[n] for n in range(1, 2001)}
+    for n in range(1, 2001):
+        assert totient_sums((n,)) == {n: totals[n]}
+
+
+def test_kernel_around_its_small_sieve_bound():
+    # The kernel sieves up to icbrt(top)**2 and recurses above it; check the
+    # requested n just below, at and just above that bound for several tops.
+    totals = list(itertools.accumulate(totient_sieve(10**5)))
+    for root in (2, 3, 10, 21, 46):
+        bound = root**2
+        top = root**3
+        ns = [bound - 1, bound, bound + 1, top - 1, top, top + 1]
+        assert totient_sums(ns) == {n: totals[n] for n in ns}
+        for n in ns:
+            assert totient_sums((n,))[n] == totals[n]
+
+
+def test_kernel_against_the_gcd_oracle_near_1e5():
+    rng = random.Random(20231)
+    for n in [rng.randint(10**5 - 50, 10**5 + 50) for _ in range(3)]:
+        assert totient_sums((n,))[n] - totient_sums((n - 1,))[n - 1] == totient_oracle(n)
+
+
+def test_kernel_matches_the_published_totient_sums():
+    # OEIS A064018: Phi(10^k).
+    published = {
+        10**4: 30397486,
+        10**5: 3039650754,
+        10**6: 303963552392,
+        10**7: 30396356427242,
+    }
+    assert totient_sums(published) == published
+
+
+def test_kernel_caps_match_the_sieve():
+    assert totient_sums(()) == {}
+    for bad in (0, 10**7 + 1):
+        with pytest.raises(CapExceeded, match=f"sieve bound {bad} outside 1..10000000"):
+            totient_sums((5, bad))
+    with pytest.raises(CapExceeded, match="sieve bound 10000001 outside"):
+        distinct_fraction_count(10**7 + 1)
+    with pytest.raises(CapExceeded, match="sieve bound 10000001 outside"):
+        phi_eval(PhiFormula.RAT_EXACT, 10**7 + 1)
 
 
 def test_distinct_fraction_count():
@@ -206,8 +260,16 @@ def test_figure_series_validation():
         figure2_data(())
     with pytest.raises(DomainError):
         figure2_data((1, 5))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="sample point 10000001 above sieve cap 10000000"):
         figure2_data((2, 10**7 + 1))
+
+
+def test_figure_series_matches_the_sieve_totals():
+    totals = list(itertools.accumulate(totient_sieve(5000)))
+    schedule = (2, 3, 17, 100, 999, 1000, 4096, 5000)
+    assert figure2_data(schedule) == [
+        (n, Fraction(totals[n] - 1, (n * n - n) // 2)) for n in schedule
+    ]
 
 
 def test_decimal_rendering():

@@ -235,6 +235,17 @@ def test_family_spec_validation():
         ArraySpec.explicit(["01", "011"])
     with pytest.raises(DomainError):
         ArraySpec.explicit(["0a"])
+    for row in ("\u0663\u0663", "\u00b2", "1\u00b9", "\uff11\uff10"):  # non-ASCII digits
+        with pytest.raises(DomainError, match="contains a non-digit"):
+            ArraySpec.explicit([row])
+
+
+def test_explicit_radix_follows_the_digits():
+    assert ArraySpec.explicit(B4_ROWS).radix == 2
+    assert ArraySpec.explicit(["0101", "1102"]).radix == 10
+    assert ArraySpec.explicit(["9"]).radix == 10
+    assert spec_for(Family.DECIMAL_29).radix == 10
+    assert spec_for(Family.ALT_24).radix == 2
 
 
 # --- membership scans --------------------------------------------------
@@ -344,3 +355,5 @@ def test_scan_argument_errors():
         membership_scan(b4, "11111", depth=4)
     with pytest.raises(DomainError):
         membership_scan(b4, "1x11", depth=4)
+    with pytest.raises(DomainError, match="candidate must be a digit string"):
+        membership_scan(b4, "1\u0661\u00b91", depth=4)  # Arabic-Indic 1, superscript 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diagbench.errors import (
     BoundTooSmall,
     CapExceeded,
+    ClosedFormMismatch,
     DomainError,
     NonIntegerLabel,
     OddN,
@@ -116,6 +117,14 @@ def test_table_label_and_domain_errors():
         table1_values(2520, ["n/11"])
     with pytest.raises(DomainError):
         table1_values(2520, ["n/2-9"])
+
+
+def test_table_reports_a_closed_form_mismatch(monkeypatch):
+    from diagbench import subsets
+
+    monkeypatch.setattr(subsets, "ratio_q", lambda n, d: ratio_q(n, d) + 1)
+    with pytest.raises(ClosedFormMismatch, match="closed form for n/4 disagrees at n=40"):
+        table1_values(40, ["n/4"])
 
 
 def test_figure_series_shape():
