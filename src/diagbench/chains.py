@@ -280,15 +280,17 @@ def entailment_closure(ast: ChainAST) -> dict:
     return closure
 
 
-def detect_inconceivable(ast: ChainAST) -> list:
-    """Statements that entail both the target and its negation."""
-    closure = entailment_closure(ast)
-    neg = ast.start
-    return [
+def _inconceivable(ast: ChainAST, closure: dict) -> tuple:
+    return tuple(
         s
         for s in ast.statements
-        if ast.target in closure[s] and neg in closure[s]
-    ]
+        if ast.target in closure[s] and ast.start in closure[s]
+    )
+
+
+def detect_inconceivable(ast: ChainAST) -> list:
+    """Statements that entail both the target and its negation."""
+    return list(_inconceivable(ast, entailment_closure(ast)))
 
 
 def _rationale(pattern, independent, inconceivable):
@@ -329,11 +331,7 @@ def verdict(ast: ChainAST) -> Verdict:
         for s in ast.statements
         if not (s in closure[neg] and neg in closure[s])
     )
-    inconceivable = tuple(
-        s
-        for s in ast.statements
-        if ast.target in closure[s] and neg in closure[s]
-    )
+    inconceivable = _inconceivable(ast, closure)
     halfway = pattern in (ChainPattern.HALFWAY_39, ChainPattern.HALFWAY_310)
     valid = pattern in (ChainPattern.VALID_31, ChainPattern.VALID_34) or (
         halfway and bool(independent)

@@ -19,7 +19,11 @@ from fractions import Fraction
 
 from . import chains, density, diagonal, subsets
 from .eps import EventuallyPeriodicString
-from .errors import WorkbenchError
+from .errors import CapExceeded, WorkbenchError
+
+# Cells in a family --format csv dump (depth x width).  At this cap the
+# random-tail worst case still fits the acceptance budget.
+CSV_CELL_CAP = 10**6
 
 
 def _frac(x) -> str:
@@ -50,20 +54,11 @@ def _read_rows(path):
         return [line.strip() for line in fh if line.strip()]
 
 
-def _explicit_antidiagonal(spec) -> str:
-    rows = spec.rows
-    square = min(len(rows), len(rows[0]))
-    policy = (
-        diagonal.FlipPolicy.BINARY if spec.radix == 2 else diagonal.FlipPolicy.DECIMAL
-    )
-    return diagonal.antidiagonal_finite(rows[:square], policy)
-
-
 def _parse_candidate(text, spec):
     if text is None:
         if spec.is_family:
             return diagonal.antidiagonal_rule(spec)
-        return _explicit_antidiagonal(spec)
+        return diagonal.explicit_antidiagonal(spec)
     if "(" in text:
         return EventuallyPeriodicString.parse(text, spec.radix)
     return text
@@ -82,11 +77,16 @@ def _cmd_diagonal(args):
             antidiag_digits=anti,
             randomize_subdiagonal=args.randomize_subdiagonal,
         )
+    width = args.prefix if args.prefix is not None else args.depth
+    family_csv = args.format == "csv" and spec.is_family
+    if family_csv and args.depth > 0 and args.depth * width > CSV_CELL_CAP:
+        raise CapExceeded(
+            f"csv dump of {args.depth} x {width} cells above cap {CSV_CELL_CAP}"
+        )
     candidate = _parse_candidate(args.candidate, spec)
     report = diagonal.membership_scan(spec, candidate, args.depth, args.prefix)
     if args.format == "csv":
         if spec.is_family:
-            width = args.prefix if args.prefix is not None else args.depth
             rows = [
                 (n, diagonal.row(spec, n, width)) for n in range(1, args.depth + 1)
             ]

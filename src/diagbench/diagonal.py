@@ -3,7 +3,9 @@
 An array is either an explicit list of equal-length digit strings or one of
 six named rule families.  Family strings are indexed from 1; string n agrees
 with the family's closed-form antidiagonal on positions 1..n-1 and differs
-from it at position n, which is what the membership scan measures.
+from it at position n, which is what the membership scan measures.  One table,
+`_rule`, gives each family its antidiagonal and its tail digit past position n
+(None for a seeded random tail); every family view derives from that pair.
 """
 
 from __future__ import annotations
@@ -130,14 +132,12 @@ class ArraySpec:
     def radix(self) -> int:
         # Cached on the instance: an explicit array is scanned once, not per use.
         if self.is_family:
-            return 10 if self.kind is Family.DECIMAL_29 else 2
+            return _rule(self)[0].radix
         return 10 if any(r.strip("01") for r in self.rows) else 2
 
     @property
     def has_random_tail(self) -> bool:
-        return self.kind is Family.RANDOM_BELOW_26 or (
-            self.kind is Family.DECIMAL_29 and self.randomize_subdiagonal
-        )
+        return self.is_family and _rule(self)[1] is None
 
 
 @dataclass
@@ -179,33 +179,43 @@ def diagonal_cover(n: int) -> Fraction:
     return Fraction(n, 2**n)
 
 
-def _antidiag_digit(spec: ArraySpec, j: int) -> int:
-    kind = spec.kind
-    if kind in (Family.LOWER_TRI_22, Family.RANDOM_BELOW_26):
-        return 1
-    if kind is Family.UPPER_TRI_23:
-        return 0
-    if kind is Family.ALT_24:
-        return 1 if j % 2 == 1 else 0
-    if kind is Family.ALT_25:
-        return 0 if j % 2 == 1 else 1
-    return spec.antidiag_digits.digit_at(j)
+_RULES = {
+    Family.LOWER_TRI_22: (EventuallyPeriodicString.constant(2, 1), 0),
+    Family.UPPER_TRI_23: (EventuallyPeriodicString.constant(2, 0), 1),
+    Family.ALT_24: (EventuallyPeriodicString(2, (), (1, 0)), 0),
+    Family.ALT_25: (EventuallyPeriodicString(2, (), (0, 1)), 1),
+    Family.RANDOM_BELOW_26: (EventuallyPeriodicString.constant(2, 1), None),
+}
+
+
+def _rule(spec: ArraySpec):
+    """(antidiagonal, tail digit) of a family; a None tail is seeded random."""
+    if spec.kind is Family.DECIMAL_29:
+        return spec.antidiag_digits, None if spec.randomize_subdiagonal else 0
+    return _RULES[spec.kind]
+
+
+def _diagonal_digit(anti: EventuallyPeriodicString, n: int) -> int:
+    # Decimal streams use digits 1..9, so 0 always differs from them.
+    return 1 - anti.digit_at(n) if anti.radix == 2 else 0
+
+
+def _random_cell(spec: ArraySpec, n: int, j: int) -> int:
+    return (cell_bit if spec.radix == 2 else cell_digit)(spec.seed, n, j)
 
 
 def antidiagonal_rule(spec: ArraySpec) -> EventuallyPeriodicString:
     """Closed-form antidiagonal of a rule family."""
     if not spec.is_family:
         raise NotAFamily("explicit arrays have no closed-form antidiagonal")
-    kind = spec.kind
-    if kind in (Family.LOWER_TRI_22, Family.RANDOM_BELOW_26):
-        return EventuallyPeriodicString.constant(2, 1)
-    if kind is Family.UPPER_TRI_23:
-        return EventuallyPeriodicString.constant(2, 0)
-    if kind is Family.ALT_24:
-        return EventuallyPeriodicString(2, (), (1, 0))
-    if kind is Family.ALT_25:
-        return EventuallyPeriodicString(2, (), (0, 1))
-    return spec.antidiag_digits
+    return _rule(spec)[0]
+
+
+def explicit_antidiagonal(spec: ArraySpec) -> str:
+    """Flipped diagonal of an explicit array's leading square, by its radix."""
+    square = min(len(spec.rows), len(spec.rows[0]))
+    policy = FlipPolicy.BINARY if spec.radix == 2 else FlipPolicy.DECIMAL
+    return antidiagonal_finite(spec.rows[:square], policy)
 
 
 def row_digit(spec: ArraySpec, n: int, j: int) -> int:
@@ -216,50 +226,34 @@ def row_digit(spec: ArraySpec, n: int, j: int) -> int:
         if n > len(spec.rows) or j > len(spec.rows[0]):
             raise NotAFamilyOrOutOfRange(f"cell ({n}, {j}) outside the explicit array")
         return int(spec.rows[n - 1][j - 1])
-    kind = spec.kind
-    if kind is Family.LOWER_TRI_22:
-        return 1 if j < n else 0
-    if kind is Family.UPPER_TRI_23:
-        return 0 if j < n else 1
-    if kind is Family.ALT_24:
-        if j < n:
-            return 1 if j % 2 == 1 else 0
-        if j == n:
-            return 1 if n % 2 == 0 else 0
-        return 0
-    if kind is Family.ALT_25:
-        if j < n:
-            return 0 if j % 2 == 1 else 1
-        if j == n:
-            return 0 if n % 2 == 0 else 1
-        return 1
-    if kind is Family.RANDOM_BELOW_26:
-        if j < n:
-            return 1
-        if j == n:
-            return 0
-        return cell_bit(spec.seed, n, j)
-    # DECIMAL_29: string n is the first n-1 stream digits, then zeros.
+    anti, tail = _rule(spec)
     if j < n:
-        return spec.antidiag_digits.digit_at(j)
+        return anti.digit_at(j)
     if j == n:
-        return 0
-    if spec.randomize_subdiagonal:
-        return cell_digit(spec.seed, n, j)
-    return 0
+        return _diagonal_digit(anti, n)
+    return _random_cell(spec, n, j) if tail is None else tail
 
 
 def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
     """First prefix_len digits of string n."""
     if n < 1 or prefix_len < 1:
         raise NotAFamilyOrOutOfRange("row index and prefix length must be at least 1")
+    if prefix_len > SCAN_CAP:
+        raise DepthCapExceeded(f"prefix length {prefix_len} above cap {SCAN_CAP}")
     if not spec.is_family:
         if n > len(spec.rows):
             raise NotAFamilyOrOutOfRange(f"row {n} outside the explicit array")
         if prefix_len > len(spec.rows[0]):
             raise NotAFamilyOrOutOfRange("prefix longer than the explicit rows")
         return spec.rows[n - 1][:prefix_len]
-    return "".join(str(row_digit(spec, n, j)) for j in range(1, prefix_len + 1))
+    anti, tail = _rule(spec)
+    if prefix_len < n:
+        return anti.prefix(prefix_len)
+    if tail is None:
+        rest = "".join(str(_random_cell(spec, n, j)) for j in range(n + 1, prefix_len + 1))
+    else:
+        rest = str(tail) * (prefix_len - n)
+    return anti.prefix(n - 1) + str(_diagonal_digit(anti, n)) + rest
 
 
 def column(spec: ArraySpec, position: int, count: int) -> str:
@@ -272,21 +266,10 @@ def column(spec: ArraySpec, position: int, count: int) -> str:
 
 
 def _row_eps(spec: ArraySpec, n: int) -> EventuallyPeriodicString:
-    """String n of a deterministic family as an exact sequence."""
-    kind = spec.kind
-    if kind is Family.LOWER_TRI_22:
-        return EventuallyPeriodicString(2, (1,) * (n - 1), (0,))
-    if kind is Family.UPPER_TRI_23:
-        return EventuallyPeriodicString(2, (0,) * (n - 1), (1,))
-    if kind is Family.ALT_24:
-        pre = tuple(row_digit(spec, n, j) for j in range(1, n + 1))
-        return EventuallyPeriodicString(2, pre, (0,))
-    if kind is Family.ALT_25:
-        pre = tuple(row_digit(spec, n, j) for j in range(1, n + 1))
-        return EventuallyPeriodicString(2, pre, (1,))
-    # DECIMAL_29 without a randomized tail
-    pre = tuple(spec.antidiag_digits.digit_at(j) for j in range(1, n))
-    return EventuallyPeriodicString(10, pre, (0,))
+    """String n of a family without a random tail, as an exact sequence."""
+    anti, tail = _rule(spec)
+    pre = tuple(anti.digit_at(j) for j in range(1, n)) + (_diagonal_digit(anti, n),)
+    return EventuallyPeriodicString(spec.radix, pre, (tail,))
 
 
 def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) -> DiagonalReport:
@@ -301,6 +284,8 @@ def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) 
         raise DomainError("depth must be at least 1")
     if depth > SCAN_CAP:
         raise DepthCapExceeded(f"depth {depth} above cap {SCAN_CAP}")
+    if prefix_len is not None and prefix_len > SCAN_CAP:
+        raise DepthCapExceeded(f"prefix length {prefix_len} above cap {SCAN_CAP}")
     if spec.is_family:
         return _scan_family(spec, candidate, depth, prefix_len)
     return _scan_explicit(spec, candidate, depth)
@@ -377,11 +362,10 @@ def _scan_explicit(spec, candidate, depth):
         else:
             found = n
             break
-    square = min(len(spec.rows), width)
-    policy = FlipPolicy.BINARY if spec.radix == 2 else FlipPolicy.DECIMAL
+    anti = explicit_antidiagonal(spec)
     return DiagonalReport(
-        antidiagonal=antidiagonal_finite(spec.rows[:square], policy),
-        cover=Fraction(square, len(spec.rows)),
+        antidiagonal=anti,
+        cover=Fraction(len(anti), len(spec.rows)),
         scan_depth=count,
         found_at=found,
         first_difference=diffs,

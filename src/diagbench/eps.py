@@ -35,7 +35,7 @@ def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
 class EventuallyPeriodicString:
     """Canonical preperiod + period representation of an infinite string.
 
-    >>> s = EventuallyPeriodicString(2, (1, 1), (1, 0, 1, 0))
+    >>> s = EventuallyPeriodicString(2, (1,), (1, 0, 1, 0))
     >>> s.render()
     '1(10)'
     >>> [s.digit_at(i) for i in range(1, 7)]
@@ -87,7 +87,10 @@ class EventuallyPeriodicString:
         return self.period[(i - len(self.preperiod) - 1) % len(self.period)]
 
     def prefix(self, length: int) -> str:
-        return "".join(str(self.digit_at(i)) for i in range(1, length + 1))
+        pre = "".join(map(str, self.preperiod))
+        per = "".join(map(str, self.period))
+        repeats = max(0, length - len(pre)) // len(per) + 1
+        return (pre + per * repeats)[: max(0, length)]
 
     def first_difference(self, other: "EventuallyPeriodicString"):
         """1-based position of the first disagreement, or None if equal.

@@ -23,7 +23,7 @@ from diagbench.chains import (
     preset,
     verdict,
 )
-from diagbench.cli import main
+from diagbench.cli import CSV_CELL_CAP, main
 from diagbench.density import (
     PhiFormula,
     correction_factor,
@@ -126,6 +126,25 @@ def test_rule_family_scans():
     ]
     assert len(set(seeds)) == 1
     budget.check()
+
+
+def test_family_csv_reaches_the_cell_cap(tmp_path):
+    # The random-tail worst case: one string whose every cell past the
+    # diagonal is a seeded random draw, about 4 s on a 2-vCPU VM.
+    budget = Budget(15)
+    width = CSV_CELL_CAP
+    path = tmp_path / "rows.csv"
+    argv = ["diagonal", "--family", "random-below-26", "--seed", "5", "--depth", "1",
+            "--prefix", str(width), "--format", "csv", "--output", str(path)]
+    assert main(argv) == 0
+    budget.check()
+    header, line, end = path.read_text(encoding="utf-8").split("\n")
+    assert (header, end) == ("n,digits", "")
+    digits = line.removeprefix("1,")
+    assert len(digits) == width and digits[0] == "0"
+    spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=5)
+    for j in (2, 3, width // 2, width):
+        assert digits[j - 1] == str(row_digit(spec, 1, j))
 
 
 def test_binomial_suite():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagbench.chains import (
     CDA_TEXT,
@@ -209,6 +211,19 @@ def test_closure_matches_a_path_walk_on_random_chains():
             if ast.target in closure[s] and ast.start in closure[s]
         ]
         assert detect_inconceivable(ast) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(["=>", "<=>"]), min_size=1, max_size=12),
+    st.sampled_from(["CONTRA", "P", "R & ~R", "P & ~P"]),
+)
+def test_detect_inconceivable_agrees_with_the_verdict(connectives, terminal):
+    parts = ["~P"]
+    for i, conn in enumerate(connectives[:-1], start=1):
+        parts += [conn, f"Q{i}"]
+    ast = parse_chain(" ".join([*parts, connectives[-1], terminal]))
+    assert detect_inconceivable(ast) == list(verdict(ast).inconceivable)
 
 
 def test_strengthening_links_never_shrinks_the_inconceivable_set():

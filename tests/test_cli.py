@@ -1,13 +1,20 @@
 import concurrent.futures
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagbench import chains, density, diagonal, subsets
 from diagbench.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -77,6 +84,69 @@ def test_explicit_scan(capsys):
     assert payload["cover"] == "1/4"
     assert payload["found_at"] == 16
     assert len(payload["first_difference"]) == 15
+
+
+# Every family and an explicit array, each format, no candidate, a hit and a
+# miss literal, three depths, with and without a window.  The digest pins the
+# exact bytes of every run; change it only with a deliberate output change.
+GOLDEN_ARRAYS = (
+    (("--family", "lower-tri-22"), "1(0)", "1111(01)"),
+    (("--family", "upper-tri-23"), "0(1)", "00(10)"),
+    (("--family", "alt-24"), "1(0)", "101(1)"),
+    (("--family", "alt-25"), "0(1)", "010(0)"),
+    (("--family", "random-below-26", "--seed", "9"), "(0)", "11(01)"),
+    (("--family", "decimal-29", "--antidiag", "(3)"), "333(0)", "3(4)"),
+    (("--family", "decimal-29", "--antidiag", "12(7)"), "127(0)", "12(8)"),
+    (("--family", "decimal-29", "--antidiag", "(19)"), "19(0)", "1(2)"),
+    (("--family", "decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal",
+      "--seed", "5"), "333(0)", "3(4)"),
+    (("--family", "decimal-29", "--antidiag", "12(7)", "--randomize-subdiagonal",
+      "--seed", "5"), "127(0)", "12(8)"),
+    (("--explicit", str(DATA / "b4.txt")), "1111", "(0)"),
+)
+GOLDEN_SHA256 = "dfab9ed45e77974ed0dbb16c24217a9a988ea748e0f14c654163d22a886546fa"
+
+
+def golden_argvs():
+    for array, hit, miss in GOLDEN_ARRAYS:
+        for fmt in ("json", "csv"):
+            for candidate in ((), ("--candidate", hit), ("--candidate", miss)):
+                for depth in ("1", "7", "20"):
+                    for window in ((), ("--prefix", "24")):
+                        yield ["diagonal", *array, "--format", fmt, *candidate,
+                               "--depth", depth, *window]
+
+
+def test_diagonal_output_matches_the_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in golden_argvs():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_over_cap_prefix_exits_2(capsys):
+    code, out, err = run(
+        capsys, "diagonal", "--family", "lower-tri-22", "--depth", "1",
+        "--prefix", str(diagonal.SCAN_CAP + 1),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: DepthCapExceeded: prefix length 1000001 above cap 1000000\n"
+
+
+def test_over_cap_csv_dump_exits_2_before_any_scan(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any work starts")
+
+    monkeypatch.setattr(diagonal, "membership_scan", no_work)
+    monkeypatch.setattr(diagonal, "row", no_work)
+    code, out, err = run(
+        capsys, "diagonal", "--family", "random-below-26", "--depth", "1001",
+        "--prefix", "1000", "--format", "csv",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: CapExceeded: csv dump of 1001 x 1000 cells above cap 1000000\n"
 
 
 # --- subsets ----------------------------------------------------------------
@@ -338,6 +408,105 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "subsets")[0] == 2
     assert run(capsys, "chains", "preset", "classic")[0] == 2
     assert run(capsys, "diagonal")[0] == 2  # needs --family or --explicit
+
+
+# --- generated argument lists ----------------------------------------------------
+
+_small = st.integers(min_value=-2, max_value=30)
+_junk = st.text(alphabet="0123456789(),-~&=<>PQRx ", max_size=12)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _argv(head, *flags):
+    return st.tuples(*flags).map(lambda parts: [*head, *(a for p in parts for a in p)])
+
+
+_literal = st.builds(
+    lambda pre, per: f"{pre}({per})",
+    st.text(alphabet="0123456789", max_size=4),
+    st.text(alphabet="0123456789", max_size=4),
+)
+_diagonal_argvs = _argv(
+    ["diagonal"],
+    st.one_of(
+        st.sampled_from([f.value for f in diagonal.Family]).map(lambda f: ["--family", f]),
+        st.just(["--explicit", str(DATA / "b4.txt")]),
+    ),
+    _flag("--depth", _small),
+    _flag("--prefix", _small),
+    _flag("--candidate", st.one_of(_literal, _junk)),
+    _flag("--seed", st.integers(min_value=0, max_value=2**64)),
+    _flag("--antidiag", st.one_of(_literal, _junk)),
+    st.sampled_from([[], ["--randomize-subdiagonal"]]),
+    _flag("--format", st.sampled_from(["json", "csv"])),
+)
+_subsets_argvs = st.one_of(
+    _argv(["subsets", "rank"], _flag("--elements", _junk)),
+    _argv(
+        ["subsets", "unrank"],
+        _flag("--p", st.integers(min_value=-1, max_value=40)),
+        _flag("--r", st.integers(min_value=-1, max_value=10**6)),
+    ),
+    _argv(["subsets", "dovetail"], _flag("--count", st.integers(min_value=-1, max_value=50))),
+    _argv(["subsets", "figure1"], _flag("--n", st.integers(min_value=-2, max_value=40))),
+    _argv(
+        ["subsets", "table1"],
+        _flag("--n", st.integers(min_value=-2, max_value=40)),
+        _flag("--labels", st.one_of(
+            st.lists(st.sampled_from(subsets.TABLE1_LABELS), max_size=4).map(",".join),
+            _junk,
+        )),
+    ),
+)
+_formulas = st.sampled_from([f.value for f in density.PhiFormula])
+_density_argvs = st.one_of(
+    _argv(
+        ["density", "rho"],
+        _flag("--a", _formulas),
+        _flag("--b", _formulas),
+        _flag("--schedule", st.one_of(
+            st.lists(st.integers(min_value=-1, max_value=40), max_size=6).map(
+                lambda ns: ",".join(map(str, ns))
+            ),
+            _junk,
+        )),
+    ),
+    _argv(["density", "figure2"], _flag("--max", st.integers(min_value=-1, max_value=1000))),
+    _argv(["density", "grid"], _flag("--n", st.integers(min_value=-1, max_value=40))),
+)
+_chain_texts = st.builds(
+    lambda links, end: " ".join(["~P", *(f"{c} Q{i}" for i, c in enumerate(links)), end]),
+    st.lists(st.sampled_from(["=>", "<=>", "&", "~"]), max_size=6),
+    st.sampled_from(["=> CONTRA", "<=> P", "=> R & ~R", "=> P & ~P", "=> Q0", ""]),
+)
+_chains_argvs = st.one_of(
+    _argv(["chains", "analyze"], _flag("--expr", st.one_of(_chain_texts, _junk))),
+    _argv(["chains", "preset"], st.one_of(
+        st.sampled_from(sorted(chains.PRESET_TEXTS)).map(lambda name: [name]),
+        _junk.map(lambda name: [name]),
+    )),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_diagonal_argvs, _subsets_argvs, _density_argvs, _chains_argvs))
+def test_generated_argvs_exit_0_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+        return
+    assert code == 2 and out.getvalue() == ""
+    *head, last = err.getvalue().splitlines()
+    if head:  # argparse: a usage block, then "PROG: error: ..."
+        assert head[0].startswith("usage: ")
+        assert re.match(r"diagbench[a-z0-9 ]*: error: ", last)
+    else:
+        assert last.startswith("error: ")
 
 
 # --- determinism ------------------------------------------------------------------

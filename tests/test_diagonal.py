@@ -216,6 +216,9 @@ def test_view_index_errors():
         column(b4, 1, 17)
     with pytest.raises(NotAFamilyOrOutOfRange):
         row_digit(spec_for(Family.ALT_24), 0, 1)
+    for kind in Family:
+        with pytest.raises(DepthCapExceeded):
+            row(spec_for(kind, randomize=True), 1, 10**6 + 1)
 
 
 def test_family_spec_validation():
@@ -344,6 +347,8 @@ def test_scan_argument_errors():
         membership_scan(sp, EPS.constant(2, 1), depth=0)
     with pytest.raises(DepthCapExceeded):
         membership_scan(sp, EPS.constant(2, 1), depth=10**6 + 1)
+    with pytest.raises(DepthCapExceeded):
+        membership_scan(sp, EPS.constant(2, 1), depth=1, prefix_len=10**6 + 1)
     with pytest.raises(DomainError):
         membership_scan(sp, EPS.constant(2, 1), depth=10, prefix_len=9)
     with pytest.raises(DomainError):
