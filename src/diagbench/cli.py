@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -26,25 +27,35 @@ from .errors import CapExceeded, WorkbenchError
 CSV_CELL_CAP = 10**6
 
 
-def _frac(x) -> str:
-    f = Fraction(x)
+# Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
+# under --format csv.  main encodes it once, with one of the two functions below.
+
+def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_frac) + "\n"
+
+
+def _csv_cells(row):
+    # A Fraction fills a num and a den column; a bool reads true/false as in JSON.
+    for cell in row:
+        if isinstance(cell, Fraction):
+            yield cell.numerator
+            yield cell.denominator
+        elif isinstance(cell, bool):
+            yield "true" if cell else "false"
+        else:
+            yield cell
 
 
 def _csv_text(header, rows) -> str:
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(_csv_cells, rows))
     return sink.getvalue()
-
-
-def _bool(flag) -> str:
-    return "true" if flag else "false"
 
 
 # ---------------------------------------------------------------- diagonal
@@ -65,12 +76,13 @@ def _parse_candidate(text, spec):
 
 
 def _cmd_diagonal(args):
+    anti = None
+    if args.antidiag is not None:
+        anti = EventuallyPeriodicString.parse(args.antidiag, 10)
     if args.explicit:
+        diagonal._reject_decimal_options(anti, args.randomize_subdiagonal)
         spec = diagonal.ArraySpec.explicit(_read_rows(args.explicit))
     else:
-        anti = None
-        if args.antidiag is not None:
-            anti = EventuallyPeriodicString.parse(args.antidiag, 10)
         spec = diagonal.ArraySpec.family(
             diagonal.Family(args.family),
             seed=args.seed,
@@ -92,21 +104,17 @@ def _cmd_diagonal(args):
             ]
         else:
             rows = list(enumerate(spec.rows, start=1))
-        return _csv_text(("n", "digits"), rows)
+        return ("n", "digits"), rows
     anti = report.antidiagonal
-    return _json_text(
-        {
-            "antidiagonal": (
-                anti.render() if isinstance(anti, EventuallyPeriodicString) else anti
-            ),
-            "cover": _frac(report.cover),
-            "scan_depth": report.scan_depth,
-            "found_at": report.found_at,
-            "first_difference": {
-                str(n): p for n, p in sorted(report.first_difference.items())
-            },
-        }
-    )
+    return {
+        "antidiagonal": (
+            anti.render() if isinstance(anti, EventuallyPeriodicString) else anti
+        ),
+        "cover": report.cover,
+        "scan_depth": report.scan_depth,
+        "found_at": report.found_at,
+        "first_difference": report.first_difference,  # int keys become "n"
+    }
 
 
 # ----------------------------------------------------------------- subsets
@@ -119,35 +127,33 @@ def _parse_elements(text):
 
 def _cmd_rank(args):
     s = subsets.FiniteSubset(_parse_elements(args.elements))
-    return _json_text({"elements": list(s), "rank": subsets.rank(s)})
+    return {"elements": list(s), "rank": subsets.rank(s)}
 
 
 def _cmd_unrank(args):
     s = subsets.unrank(args.p, args.r)
-    return _json_text({"p": args.p, "r": args.r, "elements": list(s)})
+    return {"p": args.p, "r": args.r, "elements": list(s)}
 
 
 def _cmd_dovetail(args):
     subs = subsets.dovetail_enumerate(args.count)
     if args.format == "json":
-        return _json_text({"count": args.count, "subsets": [list(s) for s in subs]})
+        return {"count": args.count, "subsets": [list(s) for s in subs]}
     rows = [(i, " ".join(str(e) for e in s)) for i, s in enumerate(subs)]
-    return _csv_text(("index", "elements"), rows)
+    return ("index", "elements"), rows
 
 
 def _cmd_figure1(args):
     coeffs, ratios = subsets.figure1_data(args.n)
     if args.format == "json":
-        return _json_text(
-            {
-                "n": args.n,
-                "coefficients": [{"p": p, "value": c} for p, c in coeffs],
-                "ratios": [{"d": d, "q": _frac(q)} for d, q in ratios],
-            }
-        )
+        return {
+            "n": args.n,
+            "coefficients": [{"p": p, "value": c} for p, c in coeffs],
+            "ratios": [{"d": d, "q": q} for d, q in ratios],
+        }
     rows = [("coeff", p, c, 1) for p, c in coeffs]
-    rows += [("ratio", d, q.numerator, q.denominator) for d, q in ratios]
-    return _csv_text(("series", "k", "num", "den"), rows)
+    rows += [("ratio", d, q) for d, q in ratios]
+    return ("series", "k", "num", "den"), rows
 
 
 def _cmd_table1(args):
@@ -156,21 +162,24 @@ def _cmd_table1(args):
         labels = [part.strip() for part in args.labels.split(",")]
     values = subsets.table1_values(args.n, labels)
     if args.format == "json":
-        return _json_text(
-            {
-                "n": args.n,
-                "rows": [
-                    {"label": label, "d": d, "q": _frac(q)} for label, d, q in values
-                ],
-            }
-        )
-    rows = [
-        (label, d, q.numerator, q.denominator, "true") for label, d, q in values
-    ]
-    return _csv_text(("label", "d", "q_num", "q_den", "matches"), rows)
+        return {
+            "n": args.n,
+            "rows": [{"label": label, "d": d, "q": q} for label, d, q in values],
+        }
+    # table1_values raises on a mismatch, so every row it returns matches.
+    rows = [(label, d, q, True) for label, d, q in values]
+    return ("label", "d", "q_num", "q_den", "matches"), rows
 
 
 # ----------------------------------------------------------------- density
+
+def _series(fmt, name, samples):
+    """(n, value, decimal) of each sample: JSON objects, or a CSV header and rows."""
+    if fmt == "csv":
+        header = ("n", f"{name}_num", f"{name}_den", f"{name}_decimal")
+        return header, [(n, v, density.decimal_str(v)) for n, v in samples]
+    return [{"n": n, name: v, "decimal": density.decimal_str(v)} for n, v in samples]
+
 
 def _cmd_rho(args):
     a = density.PhiFormula(args.a)
@@ -180,62 +189,34 @@ def _cmd_rho(args):
     else:
         schedule = density.default_schedule(a, b)
     est = density.rho_limit(a, b, schedule)
+    series = _series(args.format, "rho", est.samples)
     if args.format == "csv":
-        rows = [
-            (n, v.numerator, v.denominator, density.decimal_str(v))
-            for n, v in est.samples
-        ]
-        return _csv_text(("n", "rho_num", "rho_den", "rho_decimal"), rows)
-    cls = est.classification
-    return _json_text(
-        {
-            "pair": list(est.pair),
-            "samples": [
-                {"n": n, "rho": _frac(v), "decimal": density.decimal_str(v)}
-                for n, v in est.samples
-            ],
-            "classification": {
-                "kind": cls.kind,
-                "limit": None if cls.limit is None else _frac(cls.limit),
-                "tolerance": None if cls.tolerance is None else _frac(cls.tolerance),
-            },
-        }
-    )
+        return series
+    return {
+        "pair": list(est.pair),
+        "samples": series,
+        "classification": dataclasses.asdict(est.classification),
+    }
 
 
 def _cmd_figure2(args):
     schedule = [n for n in density.DEFAULT_FIGURE2_SCHEDULE if n <= args.max]
-    data = density.figure2_data(schedule)
-    if args.format == "json":
-        return _json_text(
-            {
-                "samples": [
-                    {"n": n, "f": _frac(f), "decimal": density.decimal_str(f)}
-                    for n, f in data
-                ]
-            }
-        )
-    rows = [
-        (n, f.numerator, f.denominator, density.decimal_str(f)) for n, f in data
-    ]
-    return _csv_text(("n", "f_num", "f_den", "f_decimal"), rows)
+    series = _series(args.format, "f", density.figure2_data(schedule))
+    return series if args.format == "csv" else {"samples": series}
 
 
 def _cmd_grid(args):
     grid = density.grid_6_4(args.n)
     if args.format == "json":
-        return _json_text(
-            {
-                "n": grid.n,
-                "bold_count": grid.bold_count,
-                "cells": [
-                    {"a": a, "b": b, "in_unit": unit, "lowest_terms": low}
-                    for a, b, unit, low in grid.cells
-                ],
-            }
-        )
-    rows = [(a, b, _bool(unit), _bool(low)) for a, b, unit, low in grid.cells]
-    return _csv_text(("a", "b", "in_unit", "lowest_terms"), rows)
+        return {
+            "n": grid.n,
+            "bold_count": grid.bold_count,
+            "cells": [
+                {"a": a, "b": b, "in_unit": unit, "lowest_terms": low}
+                for a, b, unit, low in grid.cells
+            ],
+        }
+    return ("a", "b", "in_unit", "lowest_terms"), grid.cells
 
 
 # ------------------------------------------------------------------ chains
@@ -258,26 +239,27 @@ def _verdict_payload(ast):
 
 def _cmd_analyze(args):
     if args.expr is not None:
-        return _json_text(_verdict_payload(chains.parse_chain(args.expr)))
+        return _verdict_payload(chains.parse_chain(args.expr))
     with open(args.script, encoding="utf-8") as fh:
         lines = [
             line.strip()
             for line in fh
             if line.strip() and not line.lstrip().startswith("#")
         ]
-    return _json_text([_verdict_payload(chains.parse_chain(line)) for line in lines])
+    return [_verdict_payload(chains.parse_chain(line)) for line in lines]
 
 
 def _cmd_preset(args):
-    return _json_text(_verdict_payload(chains.preset(args.name)))
+    return _verdict_payload(chains.preset(args.name))
 
 
 # ------------------------------------------------------------------- wiring
 
-def _add_output(p, formats=("json", "csv"), default=None):
-    if formats:
-        p.add_argument("--format", choices=formats, default=default or formats[0])
+def _add_output(p, func, *formats):
+    """Add --format (default: the first of formats) and --output; run func."""
+    p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", default=None, help="write here instead of stdout")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,38 +280,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--antidiag", default=None, help="decimal stream PRE(PERIOD)")
     p.add_argument("--randomize-subdiagonal", action="store_true")
-    _add_output(p, formats=("json", "csv"))
-    p.set_defaults(func=_cmd_diagonal)
+    _add_output(p, _cmd_diagonal, "json", "csv")
 
     sub = top.add_parser("subsets", help="binomial tables and subset enumeration")
     ss = sub.add_subparsers(dest="subcommand", required=True)
 
     p = ss.add_parser("rank", help="colex rank of a finite subset")
     p.add_argument("--elements", required=True, help="comma-separated naturals")
-    _add_output(p, formats=("json",))
-    p.set_defaults(func=_cmd_rank)
+    _add_output(p, _cmd_rank, "json")
 
     p = ss.add_parser("unrank", help="finite subset from cardinality and rank")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_output(p, formats=("json",))
-    p.set_defaults(func=_cmd_unrank)
+    _add_output(p, _cmd_unrank, "json")
 
     p = ss.add_parser("dovetail", help="stage-ordered subset enumeration")
     p.add_argument("--count", type=int, default=20)
-    _add_output(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_dovetail)
+    _add_output(p, _cmd_dovetail, "csv", "json")
 
     p = ss.add_parser("figure1", help="coefficient and ratio series for even n")
     p.add_argument("--n", type=int, default=40)
-    _add_output(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_figure1)
+    _add_output(p, _cmd_figure1, "csv", "json")
 
     p = ss.add_parser("table1", help="closed-form ratio rows at even n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--labels", default=None, help="subset of rows, comma-separated")
-    _add_output(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_table1)
+    _add_output(p, _cmd_table1, "csv", "json")
 
     den = top.add_parser("density", help="count-formula ratios and the fraction grid")
     ds = den.add_subparsers(dest="subcommand", required=True)
@@ -339,18 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", choices=names, required=True)
     p.add_argument("--b", choices=names, required=True)
     p.add_argument("--schedule", default=None, help="comma-separated sample points")
-    _add_output(p, formats=("json", "csv"))
-    p.set_defaults(func=_cmd_rho)
+    _add_output(p, _cmd_rho, "json", "csv")
 
     p = ds.add_parser("figure2", help="correction factor over a geometric ramp")
     p.add_argument("--max", type=int, default=100000)
-    _add_output(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_figure2)
+    _add_output(p, _cmd_figure2, "csv", "json")
 
     p = ds.add_parser("grid", help="fraction grid with lowest-terms flags")
     p.add_argument("--n", type=int, required=True)
-    _add_output(p, formats=("csv", "json"))
-    p.set_defaults(func=_cmd_grid)
+    _add_output(p, _cmd_grid, "csv", "json")
 
     ch = top.add_parser("chains", help="classify contradiction chains")
     cs = ch.add_subparsers(dest="subcommand", required=True)
@@ -359,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--expr", help="a single chain expression")
     grp.add_argument("--script", help="file with one chain per line, # comments")
-    _add_output(p, formats=("json",))
-    p.set_defaults(func=_cmd_analyze)
+    _add_output(p, _cmd_analyze, "json")
 
     p = cs.add_parser("preset", help="judge a built-in chain")
     p.add_argument("name", choices=sorted(chains.PRESET_TEXTS))
-    _add_output(p, formats=("json",))
-    p.set_defaults(func=_cmd_preset)
+    _add_output(p, _cmd_preset, "json")
 
     return parser
 
@@ -404,7 +375,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.func(args)
+        result = args.func(args)
+        text = _csv_text(*result) if args.format == "csv" else _json_text(result)
         if args.output:
             _write_output(args.output, text)
         else:

@@ -29,6 +29,10 @@ ZERO_FLOOR = Fraction(1, 10**6)
 # values overflow any reasonable budget past n = 40.
 POLYNOMIAL_SCHEDULE = (10, 100, 1000, 10000)
 EXPONENTIAL_SCHEDULE = (5, 10, 20, 40)
+# Largest sample point of a pair with an exponential factor.  complex(n) has
+# about 0.602 n digits, and every exact ratio up to here stays below Python's
+# 4300-digit limit for printing an int.
+EXPONENTIAL_CAP = 7000
 DEFAULT_FIGURE2_SCHEDULE = (100, 316, 1000, 3162, 10000, 31623, 100000)
 
 
@@ -161,9 +165,13 @@ class DensityEstimate:
     classification: Classification
 
 
-def default_schedule(a: PhiFormula, b: PhiFormula):
+def _is_exponential(a: PhiFormula, b: PhiFormula) -> bool:
     fast = (PhiFormula.REAL, PhiFormula.COMPLEX)
-    return EXPONENTIAL_SCHEDULE if a in fast or b in fast else POLYNOMIAL_SCHEDULE
+    return a in fast or b in fast
+
+
+def default_schedule(a: PhiFormula, b: PhiFormula):
+    return EXPONENTIAL_SCHEDULE if _is_exponential(a, b) else POLYNOMIAL_SCHEDULE
 
 
 def _classify(values) -> Classification:
@@ -190,6 +198,10 @@ def rho_limit(a: PhiFormula, b: PhiFormula, schedule) -> DensityEstimate:
         raise BadSchedule("sample points must be naturals >= 1")
     if any(x >= y for x, y in zip(schedule, schedule[1:])):
         raise BadSchedule("sample points must be strictly increasing")
+    if _is_exponential(a, b) and schedule[-1] > EXPONENTIAL_CAP:
+        raise CapExceeded(
+            f"sample point {schedule[-1]} above cap {EXPONENTIAL_CAP} for {a.value}/{b.value}"
+        )
     samples = tuple((n, rho_finite(a, b, n)) for n in schedule)
     values = [v for _, v in samples]
     return DensityEstimate(

@@ -67,6 +67,14 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _reject_decimal_options(antidiag_digits, randomize_subdiagonal) -> None:
+    """Only the decimal family takes a digit stream or a random tail."""
+    if antidiag_digits is not None:
+        raise DomainError("only the decimal family takes a digit stream")
+    if randomize_subdiagonal:
+        raise DomainError("only the decimal family can randomize its tail")
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Either an explicit finite array or a named rule family.
@@ -113,10 +121,7 @@ class ArraySpec:
             if any(d == 0 for d in digits):
                 raise DomainError("antidiagonal digit stream must use digits 1..9")
         else:
-            if antidiag_digits is not None:
-                raise DomainError("only the decimal family takes a digit stream")
-            if randomize_subdiagonal:
-                raise DomainError("only the decimal family can randomize its tail")
+            _reject_decimal_options(antidiag_digits, randomize_subdiagonal)
         return cls(
             kind=kind,
             seed=seed,
@@ -265,13 +270,6 @@ def column(spec: ArraySpec, position: int, count: int) -> str:
     return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
 
 
-def _row_eps(spec: ArraySpec, n: int) -> EventuallyPeriodicString:
-    """String n of a family without a random tail, as an exact sequence."""
-    anti, tail = _rule(spec)
-    pre = tuple(anti.digit_at(j) for j in range(1, n)) + (_diagonal_digit(anti, n),)
-    return EventuallyPeriodicString(spec.radix, pre, (tail,))
-
-
 def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) -> DiagonalReport:
     """Scan strings 1..depth for the candidate.
 
@@ -300,25 +298,27 @@ def _scan_family(spec, candidate, depth, prefix_len):
         raise DomainError("family scans need an eventually periodic candidate")
     if candidate.radix != spec.radix:
         raise DomainError("candidate radix does not match the array")
-    anti = antidiagonal_rule(spec)
-    # Position of the candidate's first disagreement with the antidiagonal.
-    # String n agrees with the antidiagonal on 1..n-1 and differs at n, so
-    # every first difference follows from that single position, except for
-    # the one string whose index equals it.
+    anti, tail = _rule(spec)
+    # String n agrees with the antidiagonal on 1..n-1 and differs from it at n.
+    # So if the candidate first leaves the antidiagonal at m, string n first
+    # differs from the candidate at n below m and at m above it, and only
+    # string m needs a digit comparison, from position m on.
     m = candidate.first_difference(anti)
-    diffs = {}
+    below = depth if m is None else min(m - 1, depth)
+    diffs = {n: n for n in range(1, below + 1)}
     found = None
-    for n in range(1, depth + 1):
-        if m is not None and m < n:
-            diffs[n] = m
-        elif m is None or m > n:
-            diffs[n] = n
-        else:  # n == m: the only string that can match the candidate
-            d = _compare_single_row(spec, candidate, n, prefix_len)
-            if d is None:
-                found = n
+    if below < depth:
+        if tail is None:  # a random tail has no finite description: the window only
+            end = prefix_len
+        else:  # past both preperiods one candidate period decides the sequences
+            end = max(m, len(candidate.preperiod)) + len(candidate.period)
+        for j in range(m, end + 1):
+            if candidate.digit_at(j) != row_digit(spec, m, j):
+                diffs[m] = j
+                diffs.update(dict.fromkeys(range(m + 1, depth + 1), m))
                 break
-            diffs[n] = d
+        else:
+            found = m
     return DiagonalReport(
         antidiagonal=anti,
         cover=Fraction(min(depth, prefix_len), depth),
@@ -326,16 +326,6 @@ def _scan_family(spec, candidate, depth, prefix_len):
         found_at=found,
         first_difference=diffs,
     )
-
-
-def _compare_single_row(spec, candidate, n, prefix_len):
-    if not spec.has_random_tail:
-        return candidate.first_difference(_row_eps(spec, n))
-    # Random tails have no finite description; compare the window only.
-    for j in range(n, prefix_len + 1):
-        if candidate.digit_at(j) != row_digit(spec, n, j):
-            return j
-    return None
 
 
 def _scan_explicit(spec, candidate, depth):

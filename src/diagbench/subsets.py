@@ -24,6 +24,10 @@ from .errors import (
 
 DOVETAIL_CAP = 10**6
 FIGURE1_CAP = 2**10
+# unrank's cardinality and rank size.  Dovetailing to DOVETAIL_CAP unranks
+# cardinalities up to 1414; unrank(1500, 2**2048 - 1) takes about 1 s.
+UNRANK_P_CAP = 1500
+UNRANK_BITS_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,10 @@ def unrank(p: int, r: int) -> FiniteSubset:
     """Inverse of rank for cardinality p: greedy on the combinatorial number system."""
     if p < 0 or r < 0:
         raise OutOfRange("cardinality and rank must be nonnegative")
+    if p > UNRANK_P_CAP:
+        raise CapExceeded(f"cardinality {p} above cap {UNRANK_P_CAP}")
+    if r.bit_length() > UNRANK_BITS_CAP:
+        raise CapExceeded(f"rank of {r.bit_length()} bits above cap {UNRANK_BITS_CAP}")
     if p == 0:
         if r != 0:
             raise OutOfRange("the empty set is the only 0-subset")

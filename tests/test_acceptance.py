@@ -25,11 +25,13 @@ from diagbench.chains import (
 )
 from diagbench.cli import CSV_CELL_CAP, main
 from diagbench.density import (
+    EXPONENTIAL_CAP,
     PhiFormula,
     correction_factor,
     default_schedule,
     figure2_data,
     grid_6_4,
+    rho_finite,
     rho_limit,
     totient_sieve,
 )
@@ -44,6 +46,8 @@ from diagbench.diagonal import (
 )
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.subsets import (
+    UNRANK_BITS_CAP,
+    UNRANK_P_CAP,
     FiniteSubset,
     binomial,
     complement,
@@ -233,6 +237,30 @@ def test_figure2_reaches_the_sieve_cap():
     # OEIS A064018: phi(1) + ... + phi(10^7) = 30396356427242
     assert points[top] == Fraction(30396356427242 - 1, (top * top - top) // 2)
     budget.check()
+
+
+def test_unrank_and_exponential_ratios_reach_their_caps(tmp_path):
+    # unrank at both caps: about 1 s on a 2-vCPU VM.
+    budget = Budget(5)
+    widest = (1 << UNRANK_BITS_CAP) - 1
+    s = unrank(UNRANK_P_CAP, widest)
+    assert len(s) == UNRANK_P_CAP and rank(s) == widest
+    budget.check()
+    # The longest schedule an exponential pair takes, every point printed, with
+    # the costliest numerator: about 3 s on a 2-vCPU VM.
+    budget = Budget(10)
+    path = tmp_path / "rho.csv"
+    argv = ["density", "rho", "--a", "rat-exact", "--b", "complex", "--format", "csv",
+            "--schedule", ",".join(map(str, range(1, EXPONENTIAL_CAP + 1))),
+            "--output", str(path)]
+    assert main(argv) == 0
+    budget.check()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == EXPONENTIAL_CAP + 1
+    n, num, den, _ = lines[-1].split(",")
+    top = Fraction(int(num), int(den))
+    assert n == str(EXPONENTIAL_CAP)
+    assert top == rho_finite(PhiFormula.RAT_EXACT, PhiFormula.COMPLEX, EXPONENTIAL_CAP)
 
 
 def test_chains_suite():

@@ -149,6 +149,22 @@ def test_over_cap_csv_dump_exits_2_before_any_scan(capsys, monkeypatch):
     assert err == "error: CapExceeded: csv dump of 1001 x 1000 cells above cap 1000000\n"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--antidiag", "(3)", "--randomize-subdiagonal", "--depth", "2"),
+     "only the decimal family takes a digit stream"),
+    (("--randomize-subdiagonal",), "only the decimal family can randomize its tail"),
+])
+def test_explicit_arrays_reject_family_only_flags(capsys, flags, message):
+    code, out, err = run(capsys, "diagonal", "--explicit", str(DATA / "b4.txt"), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: DomainError: {message}\n"
+
+
+def test_explicit_arrays_ignore_prefix_and_seed(capsys):
+    argv = ("diagonal", "--explicit", str(DATA / "b4.txt"), "--depth", "16")
+    assert run(capsys, *argv, "--prefix", "99", "--seed", "4") == run(capsys, *argv)
+
+
 # --- subsets ----------------------------------------------------------------
 
 
@@ -208,6 +224,21 @@ def test_figure1_series(capsys):
     )
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("the cap must be checked before any work starts")
+
+
+@pytest.mark.parametrize("p,r,message", [
+    (subsets.UNRANK_P_CAP + 1, 0, "cardinality 1501 above cap 1500"),
+    (3, 1 << subsets.UNRANK_BITS_CAP, "rank of 2049 bits above cap 2048"),
+])
+def test_over_cap_unrank_exits_2_before_any_work(capsys, monkeypatch, p, r, message):
+    monkeypatch.setattr(subsets, "_largest_c", _no_work)
+    code, out, err = run(capsys, "subsets", "unrank", "--p", str(p), "--r", str(r))
+    assert code == 2 and out == ""
+    assert err == f"error: CapExceeded: {message}\n"
+
+
 # --- density ------------------------------------------------------------------
 
 
@@ -263,6 +294,26 @@ def test_figure2_csv(capsys):
         assert line.split(",")[3].startswith("0.6")
 
 
+def test_exponential_pairs_print_at_the_cap_and_exit_2_above_it(capsys, monkeypatch):
+    names = [f.value for f in density.PhiFormula]
+    pairs = [(a, b) for a in names for b in names if {a, b} & {"real", "complex"}]
+    cap = density.EXPONENTIAL_CAP
+    for a, b in pairs:
+        for fmt in ("json", "csv"):
+            argv = ("density", "rho", "--a", a, "--b", b, "--format", fmt)
+            code, out, err = run(capsys, *argv, "--schedule", f"1,2,3,{cap}")
+            assert code == 0 and err == "", (a, b, fmt)
+            if fmt == "json":
+                assert json.loads(out)["samples"][-1]["n"] == cap
+            else:
+                assert out.splitlines()[-1].startswith(f"{cap},")
+    monkeypatch.setattr(density, "rho_finite", _no_work)
+    code, out, err = run(capsys, "density", "rho", "--a", "real", "--b", "complex",
+                         "--schedule", f"1,2,3,{cap + 1}")
+    assert code == 2 and out == ""
+    assert err == "error: CapExceeded: sample point 7001 above cap 7000 for real/complex\n"
+
+
 # --- chains -------------------------------------------------------------------
 
 
@@ -303,6 +354,61 @@ def test_analyze_script(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert [p["pattern"] for p in payload] == ["VALID_31", "FLAWED_38"]
+
+
+# Every subsets, density and chains subcommand at two or three sizes, with the
+# default format and with each format it accepts.  Like GOLDEN_SHA256, the
+# digest pins the exact bytes; change it only with a deliberate output change.
+_BOTH = ("json", "csv")
+OTHER_GOLDEN_CASES = (
+    (("subsets", "rank", "--elements", ""), ("json",)),
+    (("subsets", "rank", "--elements", "1,3"), ("json",)),
+    (("subsets", "rank", "--elements", "0,5,17,200"), ("json",)),
+    (("subsets", "unrank", "--p", "0", "--r", "0"), ("json",)),
+    (("subsets", "unrank", "--p", "3", "--r", "10"), ("json",)),
+    (("subsets", "unrank", "--p", "40", "--r", "10" * 15), ("json",)),
+    (("subsets", "dovetail", "--count", "1"), _BOTH),
+    (("subsets", "dovetail", "--count", "20"), _BOTH),
+    (("subsets", "dovetail", "--count", "300"), _BOTH),
+    (("subsets", "figure1", "--n", "2"), _BOTH),
+    (("subsets", "figure1", "--n", "40"), _BOTH),
+    (("subsets", "figure1", "--n", "200"), _BOTH),
+    (("subsets", "table1", "--n", "40", "--labels", "n/2-1,n/4"), _BOTH),
+    (("subsets", "table1", "--n", "2520"), _BOTH),
+    (("subsets", "table1", "--n", "5040", "--labels", "0,7,n/2-8"), _BOTH),
+    (("density", "rho", "--a", "even", "--b", "nat"), _BOTH),
+    (("density", "rho", "--a", "rat-exact", "--b", "rat-paper"), _BOTH),
+    (("density", "rho", "--a", "real", "--b", "complex"), _BOTH),
+    (("density", "rho", "--a", "real", "--b", "nat"), _BOTH),
+    (("density", "rho", "--a", "nat", "--b", "real", "--schedule", "5,10,20,40"), _BOTH),
+    (("density", "figure2", "--max", "100"), _BOTH),
+    (("density", "figure2", "--max", "1000"), _BOTH),
+    (("density", "figure2", "--max", "100000"), _BOTH),
+    (("density", "grid", "--n", "2"), _BOTH),
+    (("density", "grid", "--n", "5"), _BOTH),
+    (("density", "grid", "--n", "12"), _BOTH),
+    (("chains", "analyze", "--expr", "~P => Q1 => Q2 => CONTRA"), ("json",)),
+    (("chains", "analyze", "--expr", "~P <=> Q1 <=> Q2 => P"), ("json",)),
+    (("chains", "analyze", "--script", str(DATA / "chains.txt")), ("json",)),
+    *((("chains", "preset", name), ("json",)) for name in sorted(chains.PRESET_TEXTS)),
+)
+OTHER_GOLDEN_SHA256 = "774a0686cf0e8ad214430cf741e8dec10bd8c5c281ac2c7f951ea9d9f05dd709"
+
+
+def other_golden_argvs():
+    for argv, formats in OTHER_GOLDEN_CASES:
+        yield list(argv)
+        for fmt in formats:
+            yield [*argv, "--format", fmt]
+
+
+def test_other_command_output_matches_the_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in other_golden_argvs():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == OTHER_GOLDEN_SHA256
 
 
 # --- exit codes -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from diagbench.density import (
     DEFAULT_FIGURE2_SCHEDULE,
+    EXPONENTIAL_CAP,
     EXPONENTIAL_SCHEDULE,
     POLYNOMIAL_SCHEDULE,
     PhiFormula,
@@ -208,6 +209,21 @@ def test_schedule_validation():
         rho_limit(*good, (0, 1, 2, 3))
     with pytest.raises(BadSchedule):
         rho_limit(*good, (1, 2, 3.5, 4))
+
+
+EXPONENTIAL_PAIRS = [
+    (a, b) for a in PhiFormula for b in PhiFormula
+    if {a, b} & {PhiFormula.REAL, PhiFormula.COMPLEX}
+]
+
+
+def test_exponential_sample_points_are_capped():
+    for a, b in EXPONENTIAL_PAIRS:
+        assert rho_limit(a, b, (1, 2, 3, EXPONENTIAL_CAP)).samples[-1][0] == EXPONENTIAL_CAP
+        with pytest.raises(CapExceeded, match=f"sample point 7001 above cap 7000 for {a.value}/"):
+            rho_limit(a, b, (1, 2, 3, EXPONENTIAL_CAP + 1))
+    # Pairs without an exponential factor take larger points.
+    assert rho_limit(PhiFormula.EVEN, PhiFormula.NAT, (1, 2, 3, 10**9)).samples[-1][1] == Fraction(1, 2)
 
 
 # --- the fraction grid ----------------------------------------------------

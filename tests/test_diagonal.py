@@ -300,17 +300,16 @@ DETERMINISTIC = (
 
 @pytest.mark.parametrize("kind", list(Family))
 def test_scan_matches_direct_digit_walk(kind):
-    from diagbench.diagonal import _row_eps
-
     depth = 200
     sp = spec_for(kind, seed=11)
     anti = antidiagonal_rule(sp)
     candidates = [anti, perturbed(anti)]
+    string7 = tuple(row_digit(sp, 7, j) for j in range(1, 8))
     if kind in DETERMINISTIC:
-        candidates.append(_row_eps(sp, 7))
+        candidates.append(EPS(sp.radix, string7, (row_digit(sp, 7, 8),)))
     else:
         # same leading digits as string 7, all-zero guess for the random tail
-        candidates.append(EPS(2, tuple(row_digit(sp, 7, j) for j in range(1, 8)), (0,)))
+        candidates.append(EPS(2, string7, (0,)))
     window = depth if sp.has_random_tail else depth + 16
     for cand in candidates:
         report = membership_scan(sp, cand, depth=depth)
@@ -319,6 +318,38 @@ def test_scan_matches_direct_digit_walk(kind):
         )
         assert report.found_at == found
         assert report.first_difference == diffs
+
+
+@pytest.mark.parametrize(
+    "kind,randomize", [(k, False) for k in Family] + [(Family.DECIMAL_29, True)]
+)
+def test_closed_form_scan_matches_the_naive_scan_at_depth_2000(kind, randomize):
+    depth, window = 2000, 2048
+    sp = spec_for(kind, seed=3, randomize=randomize)
+
+    def string(m, length):
+        return tuple(row_digit(sp, m, j) for j in range(1, length + 1))
+
+    for m in (1, 2, 9, 64):
+        # String m up to its diagonal digit, then its first tail digit forever:
+        # string m itself when the tail is constant.
+        exact = EPS(sp.radix, string(m, m), (row_digit(sp, m, m + 1),))
+        # String m on the whole window, then a different digit five places on.
+        late = string(m, window + 4) + ((row_digit(sp, m, window + 5) + 1) % sp.radix,)
+        past_window = EPS(sp.radix, late, (1,))
+        for cand in (exact, past_window):
+            report = membership_scan(sp, cand, depth, window)
+            # Deterministic strings are compared as infinite sequences,
+            # random tails on the window only.
+            oracle_window = window if sp.has_random_tail else window + 16
+            found, diffs = naive_scan(
+                lambda n, j: row_digit(sp, n, j), cand.digit_at, depth, oracle_window
+            )
+            assert (report.found_at, report.first_difference) == (found, diffs)
+        if sp.has_random_tail:  # report is the past-window candidate's
+            assert report.found_at == m
+        else:
+            assert report.found_at is None and report.first_difference[m] == window + 5
 
 
 def test_scan_of_the_antidiagonal_never_finds_it():

@@ -16,6 +16,8 @@ from diagbench.errors import (
 )
 from diagbench.subsets import (
     TABLE1_LABELS,
+    UNRANK_BITS_CAP,
+    UNRANK_P_CAP,
     CofiniteSubset,
     FiniteSubset,
     binomial,
@@ -223,6 +225,16 @@ def test_unrank_errors():
         unrank(-1, 0)
     with pytest.raises(OutOfRange):
         unrank(2, -1)
+
+
+def test_unrank_caps():
+    assert len(unrank(UNRANK_P_CAP, 0)) == UNRANK_P_CAP
+    widest = (1 << UNRANK_BITS_CAP) - 1
+    assert rank(unrank(3, widest)) == widest
+    with pytest.raises(CapExceeded, match="cardinality 1501 above cap 1500"):
+        unrank(UNRANK_P_CAP + 1, 0)
+    with pytest.raises(CapExceeded, match="rank of 2049 bits above cap 2048"):
+        unrank(3, widest + 1)
 
 
 @given(p=st.integers(min_value=1, max_value=5), r=st.integers(min_value=0, max_value=10**4))
