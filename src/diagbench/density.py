@@ -135,13 +135,24 @@ def phi_eval(formula: PhiFormula, n: int) -> Fraction:
         # mirrored to negatives (2n per unit line) plus one for zero
         return 2 * n * (Fraction((n * n - n) // 2) * Fraction(63, 100)) + 1
     if formula is PhiFormula.RAT_EXACT:
-        count = distinct_fraction_count(n) if n >= 2 else 0
-        return Fraction(2 * n * count + 1)
+        return _phi_series(formula, (n,))[0]
     if formula is PhiFormula.REAL:
         return Fraction(n * 2 ** (n + 1))
     if formula is PhiFormula.COMPLEX:
         return Fraction(n * n * 2 ** (2 * n + 2))
     raise DomainError(f"unknown formula {formula!r}")
+
+
+def _phi_series(formula: PhiFormula, schedule) -> list:
+    """phi_eval at each point of a schedule of naturals >= 1.
+
+    rat-exact takes every count, Phi(n) - 1 lowest-terms fractions below 1,
+    from one summatory-totient call over the whole schedule.
+    """
+    if formula is PhiFormula.RAT_EXACT:
+        totals = totient_sums(schedule)
+        return [Fraction(2 * n * (totals[n] - 1) + 1) for n in schedule]
+    return [phi_eval(formula, n) for n in schedule]
 
 
 def rho_finite(a: PhiFormula, b: PhiFormula, n: int) -> Fraction:
@@ -202,7 +213,9 @@ def rho_limit(a: PhiFormula, b: PhiFormula, schedule) -> DensityEstimate:
         raise CapExceeded(
             f"sample point {schedule[-1]} above cap {EXPONENTIAL_CAP} for {a.value}/{b.value}"
         )
-    samples = tuple((n, rho_finite(a, b, n)) for n in schedule)
+    # Every formula is positive at n >= 1, so no denominator is 0.
+    nums, dens = _phi_series(a, schedule), _phi_series(b, schedule)
+    samples = tuple((n, x / y) for n, x, y in zip(schedule, nums, dens))
     values = [v for _, v in samples]
     return DensityEstimate(
         pair=(a.value, b.value),

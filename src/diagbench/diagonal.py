@@ -27,7 +27,7 @@ from .errors import (
     PolicyRadixMismatch,
     RowTooShort,
 )
-from .rng import cell_bit, cell_digit
+from .rng import cell_bit, cell_digit, row_digits
 
 UNIVERSE_CAP = {2: 24, 10: 7}
 SCAN_CAP = 10**6
@@ -255,7 +255,7 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
     if prefix_len < n:
         return anti.prefix(prefix_len)
     if tail is None:
-        rest = "".join(str(_random_cell(spec, n, j)) for j in range(n + 1, prefix_len + 1))
+        rest = row_digits(spec.seed, n, range(n + 1, prefix_len + 1), spec.radix)
     else:
         rest = str(tail) * (prefix_len - n)
     return anti.prefix(n - 1) + str(_diagonal_digit(anti, n)) + rest

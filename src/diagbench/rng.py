@@ -19,12 +19,23 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _row_hash(seed: int, row: int) -> int:
+    return mix64(mix64((seed & _MASK) ^ 0xA0761D6478BD642F) ^ mix64(row))
+
+
 def cell_value(seed: int, row: int, col: int) -> int:
     """64-bit value for one array cell, a pure function of (seed, row, col)."""
-    h = mix64((seed & _MASK) ^ 0xA0761D6478BD642F)
-    h = mix64(h ^ mix64(row))
-    h = mix64(h ^ mix64(col))
-    return h
+    return mix64(_row_hash(seed, row) ^ mix64(col))
+
+
+def row_digits(seed: int, row: int, cols, radix: int) -> str:
+    """cell_value(seed, row, col) % radix for each col, as one digit string.
+
+    The seed and row are hashed once for the whole row, which leaves two
+    mix64 calls per cell instead of five.
+    """
+    h = _row_hash(seed, row)
+    return "".join(str(mix64(h ^ mix64(col)) % radix) for col in cols)
 
 
 def cell_bit(seed: int, row: int, col: int) -> int:

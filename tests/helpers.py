@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately naive: direct digit walks, trial-gcd
-totients, Pascal addition, recursive path enumeration.  The point is that
+totients, Pascal addition, a colex rank summed term by term and an unrank
+that bisects for every element, recursive path enumeration.  The point is that
 none of it shares code with the package.
 """
 
@@ -20,6 +21,29 @@ def pascal_row(n):
     for _ in range(n):
         row = [a + b for a, b in zip([0] + row, row + [0])]
     return row
+
+
+def colex_rank(elements):
+    """Colexicographic rank of a strictly increasing tuple: sum of C(c_i, i)."""
+    return sum(math.comb(c, i) for i, c in enumerate(elements, start=1))
+
+
+def greedy_unrank(p, r):
+    """Inverse of colex_rank for cardinality p, one bisection per element."""
+    elems = []
+    for i in range(p, 0, -1):
+        lo, hi = i - 1, i  # C(i - 1, i) = 0 <= r
+        while math.comb(hi, i) <= r:
+            lo, hi = hi, hi * 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= r:
+                lo = mid
+            else:
+                hi = mid
+        r -= math.comb(lo, i)
+        elems.append(lo)
+    return tuple(reversed(elems))
 
 
 def totient_oracle(k):

@@ -46,6 +46,7 @@ from diagbench.diagonal import (
 )
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.subsets import (
+    DOVETAIL_CAP,
     UNRANK_BITS_CAP,
     UNRANK_P_CAP,
     FiniteSubset,
@@ -64,7 +65,7 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import B4_ROWS, random_chain_text, reachable_by_paths
+from helpers import B4_ROWS, colex_rank, random_chain_text, reachable_by_paths
 
 
 class Budget:
@@ -134,7 +135,7 @@ def test_rule_family_scans():
 
 def test_family_csv_reaches_the_cell_cap(tmp_path):
     # The random-tail worst case: one string whose every cell past the
-    # diagonal is a seeded random draw, about 4 s on a 2-vCPU VM.
+    # diagonal is a seeded random draw, about 1.5 s on a 2-vCPU VM.
     budget = Budget(15)
     width = CSV_CELL_CAP
     path = tmp_path / "rows.csv"
@@ -200,6 +201,21 @@ def test_enumeration_suite():
     budget.check()
 
 
+def test_dovetail_reaches_its_cap():
+    # The sweep at its cap: about 1.3 s on a 2-vCPU VM.
+    budget = Budget(5)
+    seen = dovetail_enumerate(DOVETAIL_CAP)
+    budget.check()
+    assert len(seen) == DOVETAIL_CAP
+    # Index k >= 1 is stage t, cardinality p, with k = t(t-1)/2 + p and rank t - p.
+    k = DOVETAIL_CAP - 1
+    t = 1
+    while t * (t + 1) // 2 < k:
+        t += 1
+    p = k - t * (t - 1) // 2
+    assert len(seen[-1]) == p and colex_rank(seen[-1].elements) == t - p
+
+
 def test_density_suite():
     budget = Budget(20)
     expected = {
@@ -240,14 +256,14 @@ def test_figure2_reaches_the_sieve_cap():
 
 
 def test_unrank_and_exponential_ratios_reach_their_caps(tmp_path):
-    # unrank at both caps: about 1 s on a 2-vCPU VM.
+    # unrank at both caps: a few ms on a 2-vCPU VM.
     budget = Budget(5)
     widest = (1 << UNRANK_BITS_CAP) - 1
     s = unrank(UNRANK_P_CAP, widest)
     assert len(s) == UNRANK_P_CAP and rank(s) == widest
     budget.check()
     # The longest schedule an exponential pair takes, every point printed, with
-    # the costliest numerator: about 3 s on a 2-vCPU VM.
+    # the costliest numerator: about 1.7 s on a 2-vCPU VM.
     budget = Budget(10)
     path = tmp_path / "rho.csv"
     argv = ["density", "rho", "--a", "rat-exact", "--b", "complex", "--format", "csv",

@@ -155,6 +155,28 @@ def test_division_by_zero_is_reported(monkeypatch):
         density.rho_finite(PhiFormula.NAT, PhiFormula.NAT, 3)
 
 
+def test_ratio_series_takes_every_exact_count_from_one_kernel_call(monkeypatch):
+    from diagbench import density
+
+    calls = []
+    kernel = density.totient_sums
+    monkeypatch.setattr(density, "totient_sums", lambda ns: calls.append(ns) or kernel(ns))
+    schedule = tuple(range(1, 301))
+    counts, count = {}, 0
+    for n in schedule:
+        count += totient_oracle(n) if n >= 2 else 0
+        counts[n] = Fraction(2 * n * count + 1)
+    for a, b, want in (
+        (PhiFormula.RAT_EXACT, PhiFormula.COMPLEX,
+         lambda n: counts[n] / (n * n * 2 ** (2 * n + 2))),
+        (PhiFormula.NAT, PhiFormula.RAT_EXACT, lambda n: n / counts[n]),
+    ):
+        calls.clear()
+        est = rho_limit(a, b, schedule)
+        assert len(calls) == 1
+        assert est.samples == tuple((n, want(n)) for n in schedule)
+
+
 def test_default_schedules():
     assert default_schedule(PhiFormula.EVEN, PhiFormula.NAT) == POLYNOMIAL_SCHEDULE
     assert default_schedule(PhiFormula.NAT, PhiFormula.REAL) == EXPONENTIAL_SCHEDULE

@@ -15,6 +15,8 @@ from diagbench.errors import (
     OutOfRange,
 )
 from diagbench.subsets import (
+    DOVETAIL_CAP,
+    FIGURE1_CAP,
     TABLE1_LABELS,
     UNRANK_BITS_CAP,
     UNRANK_P_CAP,
@@ -36,7 +38,7 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import pascal_row
+from helpers import colex_rank, greedy_unrank, pascal_row
 
 
 # --- binomials and ratios ----------------------------------------------
@@ -142,6 +144,14 @@ def test_figure_series_shape():
     assert all(0 < q < 1 for q in qs)
 
 
+def test_figure_series_at_the_cap_match_pascal_addition():
+    coeffs, ratios = figure1_data(FIGURE1_CAP)
+    row = pascal_row(FIGURE1_CAP)
+    assert coeffs == list(enumerate(row))
+    half = FIGURE1_CAP // 2
+    assert ratios == [(d, Fraction(row[half + d + 1], row[half + d])) for d in range(half)]
+
+
 def test_figure_small_and_error_cases():
     coeffs, ratios = figure1_data(2)
     assert [c for _, c in coeffs] == [1, 2, 1]
@@ -237,6 +247,25 @@ def test_unrank_caps():
         unrank(3, widest + 1)
 
 
+def test_unrank_matches_the_greedy_oracle_on_small_cardinalities():
+    for p in range(9):
+        for r in range(3000 if p else 1):
+            assert unrank(p, r).elements == greedy_unrank(p, r)
+
+
+def test_unrank_matches_the_greedy_oracle_on_large_ranks():
+    rng = random.Random(2026)
+    pairs = [(rng.randint(1, 300), rng.getrandbits(rng.randint(1, UNRANK_BITS_CAP)))
+             for _ in range(40)]
+    widest = (1 << UNRANK_BITS_CAP) - 1
+    # At p = 2 and 3 the walks below the top element are far too long to step,
+    # so these pairs finish only through the bisection fallback.
+    pairs += [(p, widest) for p in (1, 2, 3)]
+    pairs += [(UNRANK_P_CAP, 0), (UNRANK_P_CAP, widest)]
+    for p, r in pairs:
+        assert unrank(p, r).elements == greedy_unrank(p, r)
+
+
 @given(p=st.integers(min_value=1, max_value=5), r=st.integers(min_value=0, max_value=10**4))
 def test_unrank_then_rank_round_trip(p, r):
     s = unrank(p, r)
@@ -312,7 +341,20 @@ def test_dovetail_limits():
     with pytest.raises(DomainError):
         dovetail_enumerate(-1)
     with pytest.raises(CapExceeded):
-        dovetail_enumerate(10**6 + 1)
+        dovetail_enumerate(DOVETAIL_CAP + 1)
+
+
+def test_dovetail_steps_through_colex_ranks_stage_by_stage():
+    seen = dovetail_enumerate(20000)
+    assert len(set(seen)) == len(seen)
+    assert seen[0] == FiniteSubset()
+    # Index k >= 1 is stage t, cardinality p, with k = t(t-1)/2 + p.
+    t, p = 1, 1
+    for s in seen[1:]:
+        elems = s.elements
+        assert len(elems) == p and all(a < b for a, b in zip(elems, elems[1:]))
+        assert colex_rank(elems) == t - p
+        t, p = (t + 1, 1) if p == t else (t, p + 1)
 
 
 # --- bitmask coding ------------------------------------------------------
