@@ -2,8 +2,11 @@
 
 Output is byte-deterministic for a fixed argument list (including --seed):
 JSON with two-space indent, CSV with a header row and "\n" line endings,
-rationals rendered as "p/q".  Exit codes: 0 success, 2 usage or domain error,
-1 internal failure.
+rationals rendered as "p/q".  One encoder, _json, writes every JSON byte, the
+same text json.dumps gives at a two-space indent with _frac as its default.
+Output is rendered whole, as a list of chunks, before its first byte is
+written, so a run that fails writes nothing to stdout and creates no --output
+file.  Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import contextlib
 import csv
 import dataclasses
 import io
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import chains, density, diagonal, subsets
 from .eps import EventuallyPeriodicString
@@ -27,15 +30,106 @@ from .errors import CapExceeded, WorkbenchError
 CSV_CELL_CAP = 10**6
 
 
+# List items per chunk when a top-level list is rendered in pieces.
+_BATCH = 1024
+
+
 # Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
-# under --format csv.  main encodes it once, with one of the two functions below.
+# under --format csv.  main encodes it once, with _json_chunks or _csv_text.
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, default=_frac) + "\n"
+def _ints(values) -> bool:
+    return set(map(type, values)) == {int}
+
+
+# json.dumps's text for a scalar, by exact type; a Fraction goes through _frac.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    Fraction: lambda f: f'"{_frac(f)}"',
+}
+
+
+def _key(key) -> str:
+    # json.dumps quotes the text of a non-str key (an int, a bool or None).
+    return encode_basestring_ascii(key if isinstance(key, str) else _json(key))
+
+
+def _json(value, indent="\n") -> str:
+    r"""value as json.dumps renders it at a two-space indent with _frac as its
+    default, nested at indent (a newline and the enclosing spaces).
+
+    >>> _json({"q": [Fraction(1, 2), None, True], "first": {3: 1}})
+    '{\n  "q": [\n    "1/2",\n    null,\n    true\n  ],\n  "first": {\n    "3": 1\n  }\n}'
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = set(map(type, value))
+        if keys == {int} and _ints(value.values()):
+            members = [f'"{k}": {v}' for k, v in value.items()]
+        else:
+            # _texts inlined: grids render 10**4 small dicts, and the call shows.
+            name = encode_basestring_ascii if keys == {str} else _key
+            members = [
+                f"{name(k)}: {s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
+                for k, v in value.items()
+            ]
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        members = map(repr, value) if _ints(value) else _texts(value, inner)
+        return "[" + inner + ("," + inner).join(members) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _json(_frac(value), indent)
+
+
+def _texts(values, indent) -> list:
+    # _json of each value; a scalar's encoder is called without a _json frame.
+    return [s(v) if (s := _SCALARS.get(type(v))) else _json(v, indent) for v in values]
+
+
+def _list_pieces(value, indent) -> list:
+    """_json(value, indent) as a list of strings, _BATCH items of a list to a string."""
+    if not isinstance(value, (list, tuple)) or not value or _ints(value):
+        return [_json(value, indent)]
+    inner = indent + "  "
+    sep = "," + inner
+    out = ["[" + inner]
+    for i in range(0, len(value), _BATCH):
+        out += (sep.join(_texts(value[i : i + _BATCH], inner)), sep)
+    out[-1] = indent + "]"
+    return out
+
+
+def _json_chunks(payload) -> list:
+    """The JSON text of payload and a closing newline, as a list of strings.
+
+    A top-level list, and each list value of a top-level dict, is split into
+    pieces of _BATCH items, so no one string holds a large payload's text.
+    """
+    if not isinstance(payload, dict) or not payload:
+        return [*_list_pieces(payload, "\n"), "\n"]
+    out = ["{\n  "]
+    for key, value in payload.items():
+        out.append(_key(key) + ": ")
+        out += _list_pieces(value, "\n  ")
+        out.append(",\n  ")
+    out[-1] = "\n}\n"
+    return out
 
 
 def _csv_cells(row):
@@ -138,7 +232,7 @@ def _cmd_unrank(args):
 def _cmd_dovetail(args):
     subs = subsets.dovetail_enumerate(args.count)
     if args.format == "json":
-        return {"count": args.count, "subsets": [list(s) for s in subs]}
+        return {"count": args.count, "subsets": [s.elements for s in subs]}
     rows = [(i, " ".join(str(e) for e in s)) for i, s in enumerate(subs)]
     return ("index", "elements"), rows
 
@@ -341,15 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(path, text):
-    """Write text to path whole: through a temp file beside it and os.replace.
+def _write_output(path, chunks):
+    """Write the strings in chunks to path whole: through a temp file beside it
+    and os.replace.
 
     A failed write leaves no partial file.  A path that exists but is not a
     regular file (a device or a pipe, e.g. /dev/stdout) is written in place.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
@@ -360,7 +455,7 @@ def _write_output(path, text):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -376,11 +471,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         result = args.func(args)
-        text = _csv_text(*result) if args.format == "csv" else _json_text(result)
-        if args.output:
-            _write_output(args.output, text)
+        if args.format == "csv":
+            chunks = [_csv_text(*result)]
         else:
-            sys.stdout.write(text)
+            chunks = _json_chunks(result)
+        if args.output:
+            _write_output(args.output, chunks)
+        else:
+            sys.stdout.writelines(chunks)
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -23,13 +23,14 @@ def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
         if n % d == 0 and period[:d] * (n // d) == period:
             period = period[:d]
             break
-    # Absorb preperiod digits that merely repeat the period boundary.
-    pre = list(preperiod)
-    per = list(period)
-    while pre and pre[-1] == per[-1]:
-        per.insert(0, per.pop())
-        pre.pop()
-    return tuple(pre), tuple(per)
+    # Absorb preperiod digits that merely repeat the period boundary: count
+    # them backwards, then rotate the period right once by that many.
+    n = len(period)
+    k = 0
+    while k < len(preperiod) and preperiod[-1 - k] == period[(-1 - k) % n]:
+        k += 1
+    r = n - k % n
+    return preperiod[: len(preperiod) - k], period[r:] + period[:r]
 
 
 class EventuallyPeriodicString:

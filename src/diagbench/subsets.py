@@ -29,7 +29,7 @@ from .errors import (
 
 # The first K subsets hold about (2K)^1.5 / 6 elements.  Budget: the CLI writes
 # them in either format within 10 s and 1 GB on a 2-vCPU VM; at this cap JSON
-# takes about 5 s and 0.5 GB (at 10**5 it needs 15 s and 1.5 GB).
+# and CSV each take about 3 s and 0.12 GB (at 10**5 CSV needs 8.2 s).
 DOVETAIL_CAP = 5 * 10**4
 FIGURE1_CAP = 2**10
 # unrank's cardinality and rank size; unrank(1500, 2**2048 - 1) takes a few ms.

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct digit walks, trial-gcd
 totients, Pascal addition, a colex rank summed term by term and an unrank
-that bisects for every element, recursive path enumeration.  The point is that
+that bisects for every element, recursive path enumeration, a canonical
+form that rotates the period one digit at a time.  The point is that
 none of it shares code with the package.
 """
 
@@ -44,6 +45,21 @@ def greedy_unrank(p, r):
         r -= math.comb(lo, i)
         elems.append(lo)
     return tuple(reversed(elems))
+
+
+def rotating_canonical(preperiod, period):
+    """Primitive period, then the preperiod's trailing digits absorbed one by one."""
+    n = len(period)
+    for d in range(1, n + 1):
+        if n % d == 0 and period[:d] * (n // d) == period:
+            period = period[:d]
+            break
+    pre = list(preperiod)
+    per = list(period)
+    while pre and pre[-1] == per[-1]:
+        per.insert(0, per.pop())
+        pre.pop()
+    return tuple(pre), tuple(per)
 
 
 def totient_oracle(k):

@@ -7,9 +7,13 @@ self-contained and checks its own wall-clock budget, so a pass means both
 
 import concurrent.futures
 import math
+import os
 import random
+import sys
 import time
 from fractions import Fraction
+
+import diagbench
 
 from diagbench.chains import (
     ChainPattern,
@@ -88,6 +92,17 @@ def test_square_universe_reproduction():
     assert report.found_at == 16
     assert diagonal_cover(4) == Fraction(1, 4)
     budget.check()
+
+
+def test_a_literal_filling_one_argument_parses_within_budget():
+    # P(P) with a 64,000-digit P fills most of one 128 KiB argv string; the
+    # whole preperiod is absorbed into the period.  About 0.06 s on a 2-vCPU VM.
+    rng = random.Random(64000)
+    p = "".join(rng.choice("0123456789") for _ in range(64000))
+    budget = Budget(1)
+    s = EPS.parse(f"{p}({p})", 10)
+    budget.check()
+    assert s.render() == f"({p})"
 
 
 def test_cover_ratio_trend():
@@ -214,6 +229,27 @@ def test_dovetail_reaches_its_cap():
         t += 1
     p = k - t * (t - 1) // 2
     assert len(seen[-1]) == p and colex_rank(seen[-1].elements) == t - p
+
+
+def test_dovetail_json_at_its_cap_fits_the_budget(tmp_path):
+    # The CLI child at the cap: about 3 s and 121 MB on a 2-vCPU VM; it took
+    # 5 s and 522 MB while the JSON text was built as one string.
+    out = tmp_path / "dovetail.json"
+    argv = [sys.executable, "-m", "diagbench", "subsets", "dovetail",
+            "--count", str(DOVETAIL_CAP), "--format", "json", "--output", str(out)]
+    src = os.path.dirname(os.path.dirname(diagbench.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    pid = os.posix_spawn(sys.executable, argv, env)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.monotonic() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert wall < 10, f"took {wall:.2f}s, budget 10s"
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
+    assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
+    with open(out, encoding="utf-8") as fh:
+        head = fh.read(64)
+    assert head.startswith(f'{{\n  "count": {DOVETAIL_CAP},\n  "subsets": [\n    [],\n')
 
 
 def test_density_suite():

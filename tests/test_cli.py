@@ -9,12 +9,14 @@ import re
 import stat
 import subprocess
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagbench import chains, density, diagonal, subsets
+from diagbench import chains, cli, density, diagonal, subsets
 from diagbench.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -409,6 +411,55 @@ def test_other_command_output_matches_the_golden_digest(capsys):
         assert code == 0, argv
         digest.update(out.encode() + b"\0")
     assert digest.hexdigest() == OTHER_GOLDEN_SHA256
+
+
+# --- the JSON encoder -------------------------------------------------------------
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.text(),  # non-ASCII, control characters, quotes and backslashes
+    st.fractions(),
+)
+_json_payloads = st.recursive(
+    st.one_of(
+        _json_scalars,
+        st.lists(st.integers(), min_size=1),  # the int-only fast paths
+        st.dictionaries(st.integers(), st.integers(), min_size=1),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), inner, max_size=6),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_json_payloads, st.integers(min_value=1, max_value=3))
+def test_json_chunks_equal_json_dumps(payload, batch):
+    # A small batch splits every top-level list into several pieces.
+    with mock.patch.object(cli, "_BATCH", batch):
+        chunks = cli._json_chunks(payload)
+    assert all(isinstance(chunk, str) for chunk in chunks)
+    assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
+
+
+def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys):
+    # The rank of this subset has more digits than Python turns into a str;
+    # the elements before it render fine, and none of them may reach stdout.
+    argv = ("subsets", "rank", "--elements", f"0,1,{10**4299}")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")
+    target = tmp_path / "rank.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- exit codes -----------------------------------------------------------------

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.errors import BadRadix, DomainError
 
+from helpers import rotating_canonical
+
 
 def test_period_reduced_to_primitive_root():
     assert EPS(2, (), (1, 0, 1, 0)) == EPS(2, (), (1, 0))
@@ -16,6 +18,18 @@ def test_preperiod_boundary_absorbed():
     assert EPS(2, (0,), (1, 0)) == EPS(2, (), (0, 1))
     assert EPS(2, (1,), (1,)) == EPS(2, (), (1,))
     assert EPS(10, (3, 3), (3,)) == EPS(10, (), (3,))
+
+
+@given(
+    pre=st.lists(st.integers(0, 2), max_size=40),
+    per=st.lists(st.integers(0, 2), min_size=1, max_size=12),
+    repeats=st.integers(0, 3),
+)
+def test_canonical_form_matches_the_rotating_oracle(pre, per, repeats):
+    # The preperiod often ends in copies of the period, so long runs are absorbed.
+    pre = tuple(pre) + tuple(per) * repeats
+    s = EPS(10, pre, tuple(per))
+    assert (s.preperiod, s.period) == rotating_canonical(pre, tuple(per))
 
 
 def test_digit_at_is_one_based():
