@@ -11,16 +11,31 @@ Classification looks only at the link connectives (a trailing `stmt <=> target`
 terminal is first absorbed into the last link, since such a statement is
 structurally identical to the target).  The entailment closure treats `=>` as
 one directed edge and `<=>` as two.
+
+A chain is a path, so no search is needed: one pass over the links finds
+each node's closure as a contiguous slice of [~target, *statements, target]
+(see _reach).  A verdict reads only the slices' ends, so it is linear in
+chain length.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
-from .errors import ChainSemanticsError, ChainSyntaxError, DomainError
+from .errors import CapExceeded, ChainSemanticsError, ChainSyntaxError, DomainError
+
+# Statements per chain.  Parsing and the verdict are linear in chain length:
+# `chains analyze --script` on one chain at the cap takes about 0.9 s and
+# 67 MB as a CLI child on a 2-vCPU VM, within a budget of 5 s and 256 MB.
+CHAIN_CAP = 10**5
+
+# Tokens in a chain of CHAIN_CAP statements with the longest terminal,
+# `R & ~R`; tokenizing stops past it, so an over-long line costs no more.
+_TOKEN_CAP = 2 * CHAIN_CAP + 7
+_TOO_LONG = f"chain longer than {CHAIN_CAP} statements"
 
 
 class Connective(Enum):
@@ -77,23 +92,20 @@ class Verdict:
     rationale: str
 
 
-_TOKEN = re.compile(r"\s*(<=>|=>|~|&|[A-Za-z_][A-Za-z0-9_]*)")
+# A token, or else the first character that starts none (group 2).
+_TOKEN = re.compile(r"\s*(?:(<=>|=>|~|&|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 _ATOM = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ChainSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
-        tokens.append((m.group(1), m.start(1) + 1))
-        pos = m.end()
+    for m in islice(_TOKEN.finditer(text), _TOKEN_CAP + 1):
+        tok, bad = m.group(1, 2)
+        if bad:
+            raise ChainSyntaxError(f"unexpected character {bad!r}", m.start(2) + 1)
+        tokens.append((tok, m.start(1) + 1))
+    if len(tokens) > _TOKEN_CAP:
+        raise CapExceeded(_TOO_LONG)
     return tokens
 
 
@@ -149,6 +161,8 @@ def parse_chain(text: str) -> ChainAST:
             break
         nxt = cur.peek()
         if nxt in ("=>", "<=>"):
+            if len(links) == CHAIN_CAP:
+                raise CapExceeded(_TOO_LONG)
             if tok in seen:
                 raise ChainSemanticsError(f"statement {tok} appears twice")
             seen.add(tok)
@@ -216,81 +230,82 @@ def normalize(text: str) -> str:
     return joined.replace("~ ", "~")
 
 
+def _iff_prefix(conns: list) -> int:
+    """How many leading connectives are `<=>`."""
+    return conns.index(Connective.IMPLIES) if Connective.IMPLIES in conns else len(conns)
+
+
 def classify(ast: ChainAST) -> ChainPattern:
-    links = list(ast.links)
-    terminal = ast.terminal
+    conns = [c for c, _ in ast.links]
+    last = ast.terminal.connective
+    even = ast.terminal.kind is TerminalKind.TARGET
     # A statement linked to the target by <=> is structurally the target, so
     # fold such terminals into the preceding link before matching.
-    while (
-        terminal.kind is TerminalKind.TARGET
-        and terminal.connective is Connective.IFF
-        and links
-    ):
-        conn, _ = links.pop()
-        terminal = Terminal(TerminalKind.TARGET, conn)
-    conns = [c for c, _ in links]
-    even = terminal.kind is TerminalKind.TARGET
-    if not conns:
-        if terminal.connective is Connective.IFF:
-            return ChainPattern.FLAWED_38 if even else ChainPattern.FLAWED_37
+    while even and last is Connective.IFF and conns:
+        last = conns.pop()
+    conns = conns or [last]  # a linkless chain is judged by its one connective
+    k = _iff_prefix(conns)
+    if Connective.IFF in conns[k:]:
+        return ChainPattern.OTHER
+    if k == 0:
         return ChainPattern.VALID_34 if even else ChainPattern.VALID_31
-    if all(c is Connective.IMPLIES for c in conns):
-        return ChainPattern.VALID_34 if even else ChainPattern.VALID_31
-    if all(c is Connective.IFF for c in conns):
+    if k == len(conns):
         return ChainPattern.FLAWED_38 if even else ChainPattern.FLAWED_37
-    k = 0
-    while k < len(conns) and conns[k] is Connective.IFF:
-        k += 1
-    if k >= 1 and all(c is Connective.IMPLIES for c in conns[k:]):
-        return ChainPattern.HALFWAY_310 if even else ChainPattern.HALFWAY_39
-    return ChainPattern.OTHER
+    return ChainPattern.HALFWAY_310 if even else ChainPattern.HALFWAY_39
+
+
+def _reach(ast: ChainAST) -> list:
+    """Each node's closure as a slice (lo, hi) of [start, *statements, target].
+
+    Every node reaches each later node up to the forward end.  Node j has a
+    back edge to j - 1 when link j (or a `<=> target` terminal) is `<=>`; a
+    run of them from j stops at low, which never decreases along the chain.
+    A node without a back edge steps forward first, so its slice starts at
+    the low of j + 1: j itself if j + 1 steps back, else j + 1.
+    """
+    n = len(ast.links)
+    term = ast.terminal
+    if term.kind is TerminalKind.TARGET_CONJ_NEG:
+        # the last statement steps back to the start, so every node before
+        # the target reaches every node, and the target reaches none
+        return [(0, n + 2)] * (n + 1) + [(n + 1, n + 1)]
+    target = term.kind is TerminalKind.TARGET
+    back = [False, *(c is Connective.IFF for c, _ in ast.links)]
+    back.append(target and term.connective is Connective.IFF)
+    end = n + 2 if target else n + 1  # a plain contradiction adds no edges
+    spans = []
+    low = 0
+    for j in range(n + 2):
+        if back[j]:
+            spans.append((low, end))
+            continue
+        low = j
+        if j + 1 < end:
+            spans.append((j if back[j + 1] else j + 1, end))
+        else:
+            spans.append((j, j))
+    return spans
 
 
 def entailment_closure(ast: ChainAST) -> dict:
-    """Transitive reachability (paths of length >= 1) over the chain's edges."""
-    neg = ast.start
-    nodes = [neg, *ast.statements, ast.target]
-    edges = {node: set() for node in nodes}
-    prev = neg
-    for conn, s in ast.links:
-        edges[prev].add(s)
-        if conn is Connective.IFF:
-            edges[s].add(prev)
-        prev = s
-    term = ast.terminal
-    if term.kind is TerminalKind.TARGET:
-        edges[prev].add(ast.target)
-        if term.connective is Connective.IFF:
-            edges[ast.target].add(prev)
-    elif term.kind is TerminalKind.TARGET_CONJ_NEG:
-        edges[prev].add(ast.target)
-        edges[prev].add(neg)
-    # a plain contradiction terminal adds no edges: R and ~R are not chain nodes
-    closure = {}
-    for node in nodes:
-        seen = set()
-        queue = deque(edges[node])
-        while queue:
-            x = queue.popleft()
-            if x in seen:
-                continue
-            seen.add(x)
-            queue.extend(edges[x])
-        closure[node] = frozenset(seen)
-    return closure
+    """Transitive reachability (paths of length >= 1) over the chain's edges.
+
+    The output holds one frozenset per node, so it is quadratic in chain
+    length; verdict and detect_inconceivable never build it.
+    """
+    nodes = [ast.start, *ast.statements, ast.target]
+    return {node: frozenset(nodes[lo:hi]) for node, (lo, hi) in zip(nodes, _reach(ast))}
 
 
-def _inconceivable(ast: ChainAST, closure: dict) -> tuple:
-    return tuple(
-        s
-        for s in ast.statements
-        if ast.target in closure[s] and ast.start in closure[s]
-    )
+def _inconceivable(ast: ChainAST, spans: list) -> tuple:
+    # a closure holding both the start and the target is every node
+    whole = (0, len(spans))
+    return tuple(s for (_, s), span in zip(ast.links, spans[1:]) if span == whole)
 
 
 def detect_inconceivable(ast: ChainAST) -> list:
     """Statements that entail both the target and its negation."""
-    return list(_inconceivable(ast, entailment_closure(ast)))
+    return list(_inconceivable(ast, _reach(ast)))
 
 
 def _rationale(pattern, independent, inconceivable):
@@ -319,19 +334,12 @@ def _rationale(pattern, independent, inconceivable):
 
 def verdict(ast: ChainAST) -> Verdict:
     pattern = classify(ast)
-    closure = entailment_closure(ast)
-    neg = ast.start
-    prefix = 0
-    for conn, _ in ast.links:
-        if conn is not Connective.IFF:
-            break
-        prefix += 1
-    independent = tuple(
-        s
-        for s in ast.statements
-        if not (s in closure[neg] and neg in closure[s])
-    )
-    inconceivable = _inconceivable(ast, closure)
+    spans = _reach(ast)
+    prefix = _iff_prefix([c for c, _ in ast.links])
+    # The start reaches every statement, so a statement is mutually entailed
+    # with it exactly when its own slice begins at the start.
+    independent = tuple(s for (_, s), (lo, _) in zip(ast.links, spans[1:]) if lo)
+    inconceivable = _inconceivable(ast, spans)
     halfway = pattern in (ChainPattern.HALFWAY_39, ChainPattern.HALFWAY_310)
     valid = pattern in (ChainPattern.VALID_31, ChainPattern.VALID_34) or (
         halfway and bool(independent)

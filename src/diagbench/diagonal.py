@@ -27,7 +27,7 @@ from .errors import (
     PolicyRadixMismatch,
     RowTooShort,
 )
-from .rng import cell_bit, cell_digit, row_digits
+from .rng import row_digits
 
 UNIVERSE_CAP = {2: 24, 10: 7}
 SCAN_CAP = 10**6
@@ -206,7 +206,7 @@ def _diagonal_digit(anti: EventuallyPeriodicString, n: int) -> int:
 
 
 def _random_cell(spec: ArraySpec, n: int, j: int) -> int:
-    return (cell_bit if spec.radix == 2 else cell_digit)(spec.seed, n, j)
+    return int(row_digits(spec.seed, n, (j,), spec.radix))
 
 
 def antidiagonal_rule(spec: ArraySpec) -> EventuallyPeriodicString:

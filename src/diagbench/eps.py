@@ -96,17 +96,15 @@ class EventuallyPeriodicString:
     def first_difference(self, other: "EventuallyPeriodicString"):
         """1-based position of the first disagreement, or None if equal.
 
-        Two eventually periodic sequences that agree past both preperiods for
-        a full common period cycle agree everywhere, so the comparison window
-        is finite.
+        Past both preperiods the two sequences have periods p and q, and two
+        such sequences that agree on p + q - gcd(p, q) digits agree
+        everywhere (Fine and Wilf, 1965), so the comparison window is finite.
         """
-        window = max(len(self.preperiod), len(other.preperiod)) + math.lcm(
-            len(self.period), len(other.period)
-        )
-        for i in range(1, window + 1):
-            if self.digit_at(i) != other.digit_at(i):
-                return i
-        return None
+        p, q = len(self.period), len(other.period)
+        window = max(len(self.preperiod), len(other.preperiod)) + p + q - math.gcd(p, q)
+        a, b = (int.from_bytes(s.prefix(window).encode(), "big") for s in (self, other))
+        # The highest set bit of a ^ b lies in the first digit (byte) that differs.
+        return window - ((a ^ b).bit_length() - 1) // 8 if a != b else None
 
     def __eq__(self, other):
         if not isinstance(other, EventuallyPeriodicString):

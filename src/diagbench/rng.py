@@ -5,7 +5,7 @@ reproducible bit for bit on any platform, without generating the cells in any
 particular order.  Python's stdlib generators are stream-oriented, so this
 module derives each cell independently with the SplitMix64 finalizer (the
 published constants of Steele, Lea and Flood's generator).  The modulo step in
-cell_digit has a bias of about 6/2**64 per digit, which is irrelevant here.
+row_digits has a bias of about 6/2**64 per digit, which is irrelevant here.
 """
 
 _MASK = (1 << 64) - 1
@@ -37,10 +37,3 @@ def row_digits(seed: int, row: int, cols, radix: int) -> str:
     h = _row_hash(seed, row)
     return "".join(str(mix64(h ^ mix64(col)) % radix) for col in cols)
 
-
-def cell_bit(seed: int, row: int, col: int) -> int:
-    return cell_value(seed, row, col) & 1
-
-
-def cell_digit(seed: int, row: int, col: int) -> int:
-    return cell_value(seed, row, col) % 10

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: direct digit walks, trial-gcd
 totients, Pascal addition, a colex rank summed term by term and an unrank
-that bisects for every element, recursive path enumeration, a canonical
-form that rotates the period one digit at a time.  The point is that
-none of it shares code with the package.
+that bisects for every element, recursive path enumeration, a breadth-first
+closure over an explicit edge map, a canonical form that rotates the period
+one digit at a time, a first difference found digit by digit over an lcm
+window.  The point is that none of it shares code with the package.
 """
 
 import math
+from collections import deque
+
+from diagbench.chains import Connective, TerminalKind
 
 # The worked 16-string binary example, in its printed order (strings read
 # down the columns of the 4-line display).
@@ -62,6 +66,19 @@ def rotating_canonical(preperiod, period):
     return tuple(pre), tuple(per)
 
 
+def lcm_first_difference(a, b):
+    """First disagreement of two eventually periodic strings, one digit at a time.
+
+    Past both preperiods the pair repeats with the lcm of the two periods, so
+    the walk stops there.
+    """
+    window = max(len(a.preperiod), len(b.preperiod)) + math.lcm(len(a.period), len(b.period))
+    for i in range(1, window + 1):
+        if a.digit_at(i) != b.digit_at(i):
+            return i
+    return None
+
+
 def totient_oracle(k):
     return sum(1 for a in range(1, k + 1) if math.gcd(a, k) == 1)
 
@@ -99,6 +116,45 @@ def reachable_by_paths(edges, start):
     return found
 
 
+def chain_edges(ast):
+    """The entailment edges of a parsed chain: one per =>, two per <=>."""
+    nodes = [ast.start, *ast.statements, ast.target]
+    edges = {node: set() for node in nodes}
+    prev = ast.start
+    for conn, s in ast.links:
+        edges[prev].add(s)
+        if conn is Connective.IFF:
+            edges[s].add(prev)
+        prev = s
+    if ast.terminal.kind is TerminalKind.TARGET:
+        edges[prev].add(ast.target)
+        if ast.terminal.connective is Connective.IFF:
+            edges[ast.target].add(prev)
+    elif ast.terminal.kind is TerminalKind.TARGET_CONJ_NEG:
+        edges[prev].add(ast.target)
+        edges[prev].add(ast.start)
+    # a plain contradiction terminal adds no edges: R and ~R are not chain nodes
+    return edges
+
+
+def bfs_reach(edges, start):
+    """Nodes reachable from start along paths of length >= 1, breadth first."""
+    seen = set()
+    queue = deque(edges[start])
+    while queue:
+        x = queue.popleft()
+        if x not in seen:
+            seen.add(x)
+            queue.extend(edges[x])
+    return seen
+
+
+def bfs_closure(ast):
+    """Every node's reach, one search per node: quadratic, for small chains."""
+    edges = chain_edges(ast)
+    return {node: frozenset(bfs_reach(edges, node)) for node in edges}
+
+
 def random_chain_text(rng, max_links=10):
     """A grammar-valid chain with random connectives and terminal."""
     n = rng.randint(0, max_links)
@@ -108,4 +164,25 @@ def random_chain_text(rng, max_links=10):
         parts.append(f"Q{i}")
     parts.append(rng.choice(["=>", "<=>"]))
     parts.append(rng.choice(["CONTRA", "P", "R & ~R", "P & ~P"]))
+    return " ".join(parts)
+
+
+def shaped_chain_text(rng, max_links=40):
+    """A chain whose connective shape is drawn first: all =>, all <=>, a <=>
+    prefix then =>, or mixed, so long runs of each occur."""
+    n = rng.randint(0, max_links)
+    shape = rng.choice(("implies", "iff", "halfway", "mixed"))
+    if shape == "implies":
+        conns = ["=>"] * (n + 1)
+    elif shape == "iff":
+        conns = ["<=>"] * (n + 1)
+    elif shape == "halfway":
+        k = rng.randint(1, n + 1)
+        conns = ["<=>"] * k + ["=>"] * (n + 1 - k)
+    else:
+        conns = [rng.choice(["=>", "<=>"]) for _ in range(n + 1)]
+    parts = ["~P"]
+    for i, conn in enumerate(conns[:-1], start=1):
+        parts += [conn, f"Q{i}"]
+    parts += [conns[-1], rng.choice(["CONTRA", "P", "R & ~R", "P & ~P"])]
     return " ".join(parts)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import diagbench
 
 from diagbench.chains import (
+    CHAIN_CAP,
     ChainPattern,
     Connective,
     TerminalKind,
@@ -353,6 +354,36 @@ def test_chains_suite():
         for node in nodes:
             assert closure[node] == reachable_by_paths(edges, node)
     budget.check()
+
+
+def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
+    # The CLI child on one all-<=> chain of CHAIN_CAP statements, whose
+    # report lists every statement twice: about 0.9 s and 67 MB on a 2-vCPU
+    # VM.  The per-node closure this verdict used to build needed about 20 s
+    # and 2.3 GB at a tenth of this length.
+    parts = ["~P"]
+    for i in range(1, CHAIN_CAP + 1):
+        parts += ["<=>", f"Q{i}"]
+    script = tmp_path / "chain.txt"
+    script.write_text("# one chain at the cap\n" + " ".join([*parts, "<=>", "P"]) + "\n")
+    out = tmp_path / "verdict.json"
+    argv = [sys.executable, "-m", "diagbench", "chains", "analyze",
+            "--script", str(script), "--output", str(out)]
+    src = os.path.dirname(os.path.dirname(diagbench.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    pid = os.posix_spawn(sys.executable, argv, env)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.monotonic() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert wall < 5, f"took {wall:.2f}s, budget 5s"
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
+    assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert '"pattern": "FLAWED_38"' in text
+    assert text.count(f'"Q{CHAIN_CAP}"') == 1  # inconceivable, and nowhere else
+    assert '"independent": [],' in text
 
 
 CLI_COMMANDS = (

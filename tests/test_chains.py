@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagbench import chains
 from diagbench.chains import (
     CDA_TEXT,
+    CHAIN_CAP,
     PRESET_TEXTS,
     ChainAST,
     ChainPattern,
@@ -22,9 +24,17 @@ from diagbench.chains import (
     render,
     verdict,
 )
-from diagbench.errors import ChainSemanticsError, ChainSyntaxError, DomainError
+from diagbench.cli import main
+from diagbench.errors import CapExceeded, ChainSemanticsError, ChainSyntaxError, DomainError
 
-from helpers import random_chain_text, reachable_by_paths
+from helpers import (
+    bfs_closure,
+    bfs_reach,
+    chain_edges,
+    random_chain_text,
+    reachable_by_paths,
+    shaped_chain_text,
+)
 
 
 # --- parsing -------------------------------------------------------------
@@ -108,6 +118,37 @@ def test_render_and_normalize_round_trip():
         assert render(parse_chain(text)) == normalize(text)
     assert render(parse_chain("  ~P   =>Q1 <=>  P  ")) == "~P => Q1 <=> P"
     assert normalize("~P=>Q1=>CONTRA") == "~P => Q1 => CONTRA"
+
+
+def _long_chain(conns, terminal):
+    parts = ["~P"]
+    for i, conn in enumerate(conns[:-1], start=1):
+        parts += [conn, f"Q{i}"]
+    return " ".join([*parts, conns[-1], terminal])
+
+
+def test_a_chain_over_the_cap_starts_no_verdict(monkeypatch, capsys):
+    def refuse(ast):
+        raise AssertionError("verdict started on an over-cap chain")
+
+    monkeypatch.setattr(chains, "verdict", refuse)
+    text = _long_chain(["=>"] * (CHAIN_CAP + 2), "CONTRA")
+    with pytest.raises(CapExceeded):
+        parse_chain(text)
+    assert main(["chains", "analyze", "--expr", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CapExceeded: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_chain_at_the_cap_parses_and_tokenizing_stops_past_it():
+    text = _long_chain(["=>"] * (CHAIN_CAP + 1), "R & ~R")  # the most tokens
+    assert len(parse_chain(text).links) == CHAIN_CAP
+    with pytest.raises(CapExceeded):  # trailing junk past the token bound
+        parse_chain(text + " x" * 8)
+    with pytest.raises(ChainSyntaxError):  # the same junk within it
+        parse_chain("~P => Q1 => CONTRA" + " x" * 8)
 
 
 # --- classification -------------------------------------------------------
@@ -239,6 +280,58 @@ def test_strengthening_links_never_shrinks_the_inconceivable_set():
         tokens[i] = "<=>"
         after = set(detect_inconceivable(parse_chain(" ".join(tokens))))
         assert before <= after
+
+
+def _oracle_verdict(ast):
+    """(independent, inconceivable) from the breadth-first closure."""
+    closure = bfs_closure(ast)
+    neg, target = ast.start, ast.target
+    independent = tuple(
+        s for s in ast.statements if not (s in closure[neg] and neg in closure[s])
+    )
+    inconceivable = tuple(
+        s for s in ast.statements if target in closure[s] and neg in closure[s]
+    )
+    return closure, independent, inconceivable
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [(lambda rng: random_chain_text(rng, 12), 20000), (shaped_chain_text, 3000)],
+    ids=["mixed", "shaped"],
+)
+def test_reach_pass_matches_the_bfs_oracle(make, count):
+    rng = random.Random(20261018)
+    for _ in range(count):
+        ast = parse_chain(make(rng))
+        closure, independent, inconceivable = _oracle_verdict(ast)
+        assert entailment_closure(ast) == closure
+        assert detect_inconceivable(ast) == list(inconceivable)
+        v = verdict(ast)
+        assert (v.independent, v.inconceivable) == (independent, inconceivable)
+
+
+@pytest.mark.parametrize("seed, terminal", [(1, ("<=>", "P")), (2, ("=>", "R & ~R"))])
+def test_verdict_near_the_cap_matches_a_sampled_bfs(seed, terminal):
+    # A search from one node is linear, where the path walk recurses once per
+    # node, so only a sample of nodes is checked.
+    rng = random.Random(seed)
+    conns = ["<=>"] * 3000
+    while len(conns) < CHAIN_CAP - 1:  # runs of each connective, long and short
+        conns += [rng.choice(["=>", "<=>"])] * rng.choice([1, 2, 7, 500, 5000])
+    conn, end = terminal
+    ast = parse_chain(_long_chain([*conns[: CHAIN_CAP - 1], conn], end))
+    v = verdict(ast)
+    assert detect_inconceivable(ast) == list(v.inconceivable)
+    independent, inconceivable = set(v.independent), set(v.inconceivable)
+    edges = chain_edges(ast)
+    stmts = ast.statements
+    start_reach = bfs_reach(edges, ast.start)
+    for i in [0, 2999, 3000, len(stmts) - 1, *rng.sample(range(len(stmts)), 12)]:
+        s = stmts[i]
+        reach = bfs_reach(edges, s)
+        assert (s in independent) == (not (s in start_reach and ast.start in reach))
+        assert (s in inconceivable) == (ast.start in reach and ast.target in reach)
 
 
 # --- verdicts ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.errors import BadRadix, DomainError
 
-from helpers import rotating_canonical
+from helpers import lcm_first_difference, rotating_canonical
 
 
 def test_period_reduced_to_primitive_root():
@@ -70,6 +73,60 @@ def test_first_difference():
     assert ones.first_difference(EPS(2, (1, 1, 1), (0,))) == 4
     assert ones.first_difference(EPS(2, (1,), (1,))) is None
     assert EPS(2, (), (1, 0)).first_difference(EPS(2, (), (0, 1))) == 1
+
+
+def _extremal_word(p, q):
+    """A word of length p + q - gcd(p, q) - 1 with periods p and q but not gcd.
+
+    Positions i and i + p, and i and i + q, are joined; at this length exactly
+    gcd + 1 classes remain (Fine and Wilf), and each gets its own digit.
+    """
+    n = p + q - math.gcd(p, q) - 1
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i in range(n):
+        for d in (p, q):
+            if i + d < n:
+                root[find(i + d)] = find(i)
+    labels = {}
+    return tuple(labels.setdefault(find(i), len(labels)) for i in range(n))
+
+
+def test_first_difference_window_is_tight():
+    # Two periodic sequences that agree on p + q - gcd - 1 digits and differ
+    # at the next one: the shortest window that may be compared.
+    for p in range(1, 25):
+        for q in range(p + 1, 25):
+            if q % p == 0 or math.gcd(p, q) > 9:
+                continue
+            word = _extremal_word(p, q)
+            for pre in ((), (3, 1, 4)):
+                a, b = EPS(10, pre, word[:p]), EPS(10, pre, word[:q])
+                expected = len(pre) + p + q - math.gcd(p, q)
+                assert a.first_difference(b) == b.first_difference(a) == expected
+                assert lcm_first_difference(a, b) == expected
+                assert a.first_difference(EPS(10, pre + word[:p], word[:p] * 2)) is None
+
+
+def test_first_difference_matches_the_digit_loop():
+    rng = random.Random(1965)
+    for _ in range(5000):
+        radix = rng.choice((2, 10))
+        high = rng.choice((2, radix))  # binary-valued digits make near misses common
+
+        def draw(lo, hi):
+            return tuple(rng.randrange(high) for _ in range(rng.randint(lo, hi)))
+
+        a = EPS(radix, draw(0, 6), draw(1, 9))
+        b = EPS(radix, draw(0, 6), draw(1, 9))
+        same = EPS(radix, a.preperiod + a.period, a.period * rng.randint(1, 3))
+        assert a.first_difference(b) == lcm_first_difference(a, b)
+        assert a.first_difference(same) is None
 
 
 digits = st.integers(min_value=0, max_value=1)
