@@ -94,7 +94,7 @@ class Verdict:
 
 # A token, or else the first character that starts none (group 2).
 _TOKEN = re.compile(r"\s*(?:(<=>|=>|~|&|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
-_ATOM = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_CONNECTIVES = {c.value: c for c in Connective}
 
 
 def _tokenize(text: str):
@@ -109,40 +109,30 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.end_pos = length + 1
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx][0] if self.idx < len(self.tokens) else None
-
-    def take(self, what="token"):
-        if self.idx >= len(self.tokens):
-            raise ChainSyntaxError(f"expected {what}, found end of chain", self.end_pos)
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def take_atom(self, what="statement name"):
-        tok, pos = self.take(what)
-        if not _ATOM.match(tok):
-            raise ChainSyntaxError(f"expected {what}, found {tok!r}", pos)
-        return tok, pos
+def _expect(tokens, i, what, ok):
+    """The text of tokens[i] if ok accepts it, else a syntax error there."""
+    tok, pos = tokens[i]
+    if tok is None or not ok(tok):
+        found = "end of chain" if tok is None else repr(tok)
+        raise ChainSyntaxError(f"expected {what}, found {found}", pos)
+    return tok
 
 
 def parse_chain(text: str) -> ChainAST:
-    cur = _Cursor(_tokenize(text), len(text))
+    tokens = _tokenize(text)
+    tokens.append((None, len(text) + 1))  # end of chain
+    atom = str.isidentifier  # true of the tokenizer's names, false of its symbols
 
-    tok, pos = cur.take("a negated assumption")
+    tok = tokens[0][0]
     negated = tok == "~"
     if negated:
-        tok, pos = cur.take_atom("the assumption's atom")
-    elif not _ATOM.match(tok):
-        raise ChainSyntaxError(f"expected an assumption literal, found {tok!r}", pos)
+        tok = _expect(tokens, 1, "the assumption's atom", atom)
+    else:
+        what = "an assumption literal" if tok else "a negated assumption"
+        _expect(tokens, 0, what, atom)
+    i = 1 + negated  # the first connective
     if tok == "CONTRA":
-        raise ChainSyntaxError("CONTRA is reserved for the terminal", pos)
+        raise ChainSyntaxError("CONTRA is reserved for the terminal", tokens[i - 1][1])
     # The negation requirement is checked after the walk so that structurally
     # broken input is still reported as a syntax error with a position.
     target = tok
@@ -150,17 +140,14 @@ def parse_chain(text: str) -> ChainAST:
     links = []
     seen = {target}
     while True:
-        conn_tok, conn_pos = cur.take("=> or <=>")
-        if conn_tok not in ("=>", "<=>"):
-            raise ChainSyntaxError(f"expected => or <=>, found {conn_tok!r}", conn_pos)
-        conn = Connective.IFF if conn_tok == "<=>" else Connective.IMPLIES
-
-        tok, pos = cur.take_atom("a statement or terminal")
+        conn = _CONNECTIVES[_expect(tokens, i, "=> or <=>", _CONNECTIVES.__contains__)]
+        tok = _expect(tokens, i + 1, "a statement or terminal", atom)
+        i += 2
         if tok == "CONTRA":
             terminal = Terminal(TerminalKind.CONTRADICTION, conn)
             break
-        nxt = cur.peek()
-        if nxt in ("=>", "<=>"):
+        nxt = tokens[i][0]
+        if nxt in _CONNECTIVES:
             if len(links) == CHAIN_CAP:
                 raise CapExceeded(_TOO_LONG)
             if tok in seen:
@@ -168,23 +155,6 @@ def parse_chain(text: str) -> ChainAST:
             seen.add(tok)
             links.append((conn, tok))
             continue
-        if nxt == "&":
-            cur.take()
-            tilde, tpos = cur.take("~")
-            if tilde != "~":
-                raise ChainSyntaxError(f"expected ~, found {tilde!r}", tpos)
-            other, _ = cur.take_atom("the negated half of the pair")
-            if other != tok:
-                raise ChainSemanticsError(
-                    f"contradiction pair must negate its own statement, got {tok} & ~{other}"
-                )
-            kind = (
-                TerminalKind.TARGET_CONJ_NEG
-                if tok == target
-                else TerminalKind.CONTRADICTION
-            )
-            terminal = Terminal(kind, conn, None if tok == target else tok)
-            break
         if nxt is None:
             if tok != target:
                 raise ChainSemanticsError(
@@ -192,15 +162,24 @@ def parse_chain(text: str) -> ChainAST:
                 )
             terminal = Terminal(TerminalKind.TARGET, conn)
             break
-        raise ChainSyntaxError(
-            f"expected => or <=> after {tok}, found {nxt!r}", cur.tokens[cur.idx][1]
-        )
+        # past a name, only the & of a pair remains
+        _expect(tokens, i, f"=> or <=> after {tok}", "&".__eq__)
+        _expect(tokens, i + 1, "~", "~".__eq__)
+        other = _expect(tokens, i + 2, "the negated half of the pair", atom)
+        i += 3
+        if other != tok:
+            raise ChainSemanticsError(
+                f"contradiction pair must negate its own statement, got {tok} & ~{other}"
+            )
+        if tok == target:
+            terminal = Terminal(TerminalKind.TARGET_CONJ_NEG, conn)
+        else:
+            terminal = Terminal(TerminalKind.CONTRADICTION, conn, tok)
+        break
 
-    leftover = cur.peek()
+    leftover, pos = tokens[i]
     if leftover is not None:
-        raise ChainSyntaxError(
-            f"unexpected {leftover!r} after the terminal", cur.tokens[cur.idx][1]
-        )
+        raise ChainSyntaxError(f"unexpected {leftover!r} after the terminal", pos)
     if not negated:
         raise ChainSemanticsError("the starting literal must negate the target")
     return ChainAST(target=target, links=tuple(links), terminal=terminal)

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import ne
 
 from .eps import EventuallyPeriodicString
 from .errors import (
@@ -262,9 +263,12 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
 
 
 def column(spec: ArraySpec, position: int, count: int) -> str:
-    """Digit at `position` across strings 1..count (the transposed view)."""
+    """Digit at `position` across strings 1..count (the transposed view); count
+    is at most SCAN_CAP, where a random-tail column takes about 7 s on a 2-vCPU VM."""
     if position < 1 or count < 1:
         raise NotAFamilyOrOutOfRange("position and count must be at least 1")
+    if count > SCAN_CAP:
+        raise DepthCapExceeded(f"count {count} above cap {SCAN_CAP}")
     if not spec.is_family and count > len(spec.rows):
         raise NotAFamilyOrOutOfRange(f"only {len(spec.rows)} rows available")
     return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
@@ -340,23 +344,21 @@ def _scan_explicit(spec, candidate, depth):
             raise DomainError(f"candidate length {len(target)} != row length {width}")
         if not _is_digits(target):
             raise DomainError("candidate must be a digit string")
-    count = min(depth, len(spec.rows))
+    rows = spec.rows[:depth]
     diffs = {}
     found = None
-    for n in range(1, count + 1):
-        r = spec.rows[n - 1]
-        for j in range(width):
-            if r[j] != target[j]:
-                diffs[n] = j + 1
-                break
-        else:
+    for n, r in enumerate(rows, start=1):
+        # the first mismatch, found at C level and without reading past it
+        j = next(itertools.compress(itertools.count(1), map(ne, r, target)), None)
+        if j is None:
             found = n
             break
+        diffs[n] = j
     anti = explicit_antidiagonal(spec)
     return DiagonalReport(
         antidiagonal=anti,
         cover=Fraction(len(anti), len(spec.rows)),
-        scan_depth=count,
+        scan_depth=len(rows),
         found_at=found,
         first_difference=diffs,
     )

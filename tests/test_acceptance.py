@@ -28,7 +28,7 @@ from diagbench.chains import (
     preset,
     verdict,
 )
-from diagbench.cli import CSV_CELL_CAP, main
+from diagbench.cli import CSV_CELL_CAP, SCRIPT_CAP, main
 from diagbench.density import (
     EXPONENTIAL_CAP,
     PhiFormula,
@@ -41,9 +41,11 @@ from diagbench.density import (
     totient_sieve,
 )
 from diagbench.diagonal import (
+    SCAN_CAP,
     ArraySpec,
     Family,
     antidiagonal_rule,
+    column,
     diagonal_cover,
     enumerate_universe,
     membership_scan,
@@ -356,6 +358,20 @@ def test_chains_suite():
     budget.check()
 
 
+def _analyze_child(script, out):
+    """Run `chains analyze --script` as a CLI child: (wall seconds, peak RSS MB)."""
+    argv = [sys.executable, "-m", "diagbench", "chains", "analyze",
+            "--script", str(script), "--output", str(out)]
+    src = os.path.dirname(os.path.dirname(diagbench.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    pid = os.posix_spawn(sys.executable, argv, env)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.monotonic() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    return wall, usage.ru_maxrss / 1024  # KiB on Linux
+
+
 def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
     # The CLI child on one all-<=> chain of CHAIN_CAP statements, whose
     # report lists every statement twice: about 0.9 s and 67 MB on a 2-vCPU
@@ -367,23 +383,41 @@ def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
     script = tmp_path / "chain.txt"
     script.write_text("# one chain at the cap\n" + " ".join([*parts, "<=>", "P"]) + "\n")
     out = tmp_path / "verdict.json"
-    argv = [sys.executable, "-m", "diagbench", "chains", "analyze",
-            "--script", str(script), "--output", str(out)]
-    src = os.path.dirname(os.path.dirname(diagbench.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    start = time.monotonic()
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
-    wall = time.monotonic() - start
-    assert os.waitstatus_to_exitcode(status) == 0
+    wall, peak_mb = _analyze_child(script, out)
     assert wall < 5, f"took {wall:.2f}s, budget 5s"
-    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
     assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert '"pattern": "FLAWED_38"' in text
     assert text.count(f'"Q{CHAIN_CAP}"') == 1  # inconceivable, and nowhere else
     assert '"independent": [],' in text
+
+
+def test_a_script_at_its_caps_fits_the_budget(tmp_path):
+    # SCRIPT_CAP all-<=> chains holding CHAIN_CAP statements in all, each
+    # statement listed twice in its report: about 1.4 s and 48 MB on a 2-vCPU
+    # VM.  With no cap on chains, 200,000 short ones took 9.9 s and 226 MB.
+    per = CHAIN_CAP // SCRIPT_CAP
+    chain = "~P " + " ".join(f"<=> Q{i}" for i in range(1, per + 1)) + " <=> P\n"
+    script = tmp_path / "chains.txt"
+    script.write_text(chain * SCRIPT_CAP)
+    out = tmp_path / "verdicts.json"
+    wall, peak_mb = _analyze_child(script, out)
+    assert wall < 5, f"took {wall:.2f}s, budget 5s"
+    assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count('"pattern": "FLAWED_38"') == SCRIPT_CAP
+
+
+def test_a_column_at_its_cap_fits_the_budget():
+    # The slowest column at the cap: a random tail on every row, one seeded
+    # hash per digit, about 7 s on a 2-vCPU VM.
+    budget = Budget(20)
+    spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=4)
+    digits = column(spec, SCAN_CAP + 1, SCAN_CAP)
+    budget.check()
+    assert len(digits) == SCAN_CAP and set(digits) == {"0", "1"}
 
 
 CLI_COMMANDS = (

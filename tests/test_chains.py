@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -379,3 +380,62 @@ def test_preset_lookup():
     assert not preset("valid-contra").annotations
     with pytest.raises(DomainError):
         preset("classic")
+
+
+# --- parse outcomes, pinned ------------------------------------------------
+
+# Digest of every parse outcome below, recorded before the parser was last
+# rewritten; change it only with a deliberate change to the grammar or to an
+# error's class, message or position.
+PARSE_GOLDEN_SHA256 = "2cad7f0a46be9bdb38613f9817477f023787f08786eabfce0c577068037bf81d"
+
+_SOUP_TOKENS = (
+    "~", "~", "=>", "=>", "<=>", "<=>", "&", "P", "P", "Q1", "Q2", "R", "CONTRA",
+    "x_9", "!", "=", "9",
+)
+_SPACES = ("", " ", " ", "  ", "\t")
+
+
+def _soup(rng):
+    """A random token sequence, joined with random spacing."""
+    toks = [rng.choice(_SOUP_TOKENS) for _ in range(rng.randint(0, 12))]
+    return "".join(rng.choice(_SPACES) + t for t in toks) + rng.choice(_SPACES)
+
+
+def _mutant(rng, text):
+    """A grammar-valid chain with one token inserted, dropped or replaced."""
+    toks = text.split(" ")
+    i = rng.randrange(len(toks) + 1)
+    op = rng.randrange(3)
+    if op and i < len(toks):
+        del toks[i]
+    if op != 1:
+        toks.insert(i, rng.choice(_SOUP_TOKENS))
+    return rng.choice(_SPACES).join(toks)
+
+
+def _outcome(text):
+    """The AST's fields, or the error's class, message and position."""
+    try:
+        ast = parse_chain(text)
+    except (ChainSyntaxError, ChainSemanticsError, CapExceeded) as e:
+        return f"{type(e).__name__}|{e}|{getattr(e, 'position', None)}"
+    t = ast.terminal
+    links = [(c.value, s) for c, s in ast.links]
+    return f"{ast.target}|{links}|{t.kind.value}|{t.connective.value}|{t.atom}"
+
+
+def test_parse_outcomes_match_the_golden_digest(monkeypatch):
+    rng = random.Random(20261019)
+    texts = [_soup(rng) for _ in range(24000)]
+    texts += [random_chain_text(rng, 12) for _ in range(4000)]
+    texts += [shaped_chain_text(rng) for _ in range(2000)]
+    texts += [_mutant(rng, random_chain_text(rng, 6)) for _ in range(10000)]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(f"{text}\0{_outcome(text)}\0".encode())
+    # a low cap, to pin where the length check falls among the others
+    monkeypatch.setattr(chains, "CHAIN_CAP", 3)
+    for text in texts[24000:]:
+        digest.update(f"{text}\0{_outcome(text)}\0".encode())
+    assert digest.hexdigest() == PARSE_GOLDEN_SHA256

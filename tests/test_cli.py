@@ -358,6 +358,29 @@ def test_analyze_script(tmp_path, capsys):
     assert [p["pattern"] for p in payload] == ["VALID_31", "FLAWED_38"]
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["~P => CONTRA"] * (cli.SCRIPT_CAP + 1), f"script longer than {cli.SCRIPT_CAP} chains"),
+    (
+        [  # CHAIN_CAP + 1 statements over two chains, each within the cap
+            "~P " + " ".join(f"=> Q{i}" for i in range(1, chains.CHAIN_CAP + 1)) + " => CONTRA",
+            "# a comment line is not a chain",
+            "~P => Q1 => CONTRA",
+        ],
+        f"script of more than {chains.CHAIN_CAP} statements",
+    ),
+], ids=["chains", "statements"])
+def test_a_script_over_its_cap_starts_no_verdict(tmp_path, capsys, monkeypatch, lines, message):
+    def refuse(ast):
+        raise AssertionError("verdict started on an over-cap script")
+
+    monkeypatch.setattr(chains, "verdict", refuse)
+    script = tmp_path / "chains.txt"
+    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "chains", "analyze", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err == f"error: CapExceeded: {message}\n"
+
+
 # Every subsets, density and chains subcommand at two or three sizes, with the
 # default format and with each format it accepts.  Like GOLDEN_SHA256, the
 # digest pins the exact bytes; change it only with a deliberate output change.
@@ -542,7 +565,8 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path, capsys):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
-@pytest.mark.parametrize("row", ["\u0663\u0663", "\u00b2"])  # Arabic-Indic 33, superscript 2
+# Arabic-Indic 33, superscript 2, and a row that a chain script would skip
+@pytest.mark.parametrize("row", ["\u0663\u0663", "\u00b2", "#3"])
 def test_non_ascii_digit_rows_exit_2(tmp_path, capsys, row):
     path = tmp_path / "rows.txt"
     path.write_text(row + "\n", encoding="utf-8")

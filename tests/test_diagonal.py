@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagbench import diagonal
 from diagbench.diagonal import (
     ArraySpec,
     Family,
@@ -219,6 +220,15 @@ def test_view_index_errors():
     for kind in Family:
         with pytest.raises(DepthCapExceeded):
             row(spec_for(kind, randomize=True), 1, 10**6 + 1)
+
+
+def test_an_over_cap_column_reads_no_digit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a digit was read for an over-cap column")
+
+    monkeypatch.setattr(diagonal, "row_digit", refuse)
+    with pytest.raises(DepthCapExceeded, match="count 1000001 above cap 1000000"):
+        column(spec_for(Family.RANDOM_BELOW_26, seed=1), 3, diagonal.SCAN_CAP + 1)
 
 
 def test_family_spec_validation():
