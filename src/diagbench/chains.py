@@ -21,11 +21,11 @@ chain length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 
 from .errors import CapExceeded, ChainSemanticsError, ChainSyntaxError, DomainError
+from .record import Record
 
 # Statements per chain.  Parsing and the verdict are linear in chain length:
 # `chains analyze --script` on one chain at the cap takes about 0.9 s and
@@ -49,19 +49,19 @@ class TerminalKind(Enum):
     TARGET_CONJ_NEG = "target-conj-neg"  # target & ~target
 
 
-@dataclass(frozen=True)
-class Terminal:
-    kind: TerminalKind
-    connective: Connective
-    atom: str | None = None
+class Terminal(Record):
+    __slots__ = _fields = ("kind", "connective", "atom")
+
+    def __init__(self, kind: TerminalKind, connective: Connective, atom: str | None = None):
+        super().__init__(kind, connective, atom)
 
 
-@dataclass(frozen=True)
-class ChainAST:
-    target: str
-    links: tuple  # of (Connective, statement name)
-    terminal: Terminal
-    annotations: dict = field(default_factory=dict)
+class ChainAST(Record):
+    __slots__ = _fields = ("target", "links", "terminal", "annotations")
+
+    def __init__(self, target: str, links: tuple, terminal: Terminal, annotations: dict = None):
+        # links are (Connective, statement name) pairs
+        super().__init__(target, links, terminal, {} if annotations is None else annotations)
 
     @property
     def start(self) -> str:
@@ -82,14 +82,13 @@ class ChainPattern(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    pattern: ChainPattern
-    iff_prefix_len: int
-    independent: tuple
-    inconceivable: tuple
-    valid: bool
-    rationale: str
+class Verdict(Record):
+    __slots__ = _fields = ("pattern", "iff_prefix_len", "independent", "inconceivable",
+                           "valid", "rationale")
+
+    def __init__(self, pattern: ChainPattern, iff_prefix_len: int, independent: tuple,
+                 inconceivable: tuple, valid: bool, rationale: str):
+        super().__init__(pattern, iff_prefix_len, independent, inconceivable, valid, rationale)
 
 
 # A token, or else the first character that starts none (group 2).

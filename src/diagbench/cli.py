@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import os
 import sys
@@ -295,10 +294,11 @@ def _cmd_rho(args):
     series = _series(args.format, "rho", est.samples)
     if args.format == "csv":
         return series
+    c = est.classification
     return {
         "pair": list(est.pair),
         "samples": series,
-        "classification": dataclasses.asdict(est.classification),
+        "classification": {"kind": c.kind, "limit": c.limit, "tolerance": c.tolerance},
     }
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import BadSchedule, CapExceeded, DivisionByZero, DomainError
+from .record import Record
 
 SIEVE_CAP = 10**7
 GRID_CAP = 100
@@ -162,18 +162,18 @@ def rho_finite(a: PhiFormula, b: PhiFormula, n: int) -> Fraction:
     return phi_eval(a, n) / denom
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "converges" | "tends-to-zero" | "inconclusive"
-    limit: Fraction | None
-    tolerance: Fraction | None
+class Classification(Record):
+    __slots__ = _fields = ("kind", "limit", "tolerance")
+
+    def __init__(self, kind: str, limit: Fraction | None, tolerance: Fraction | None):
+        super().__init__(kind, limit, tolerance)  # kind: converges | tends-to-zero | inconclusive
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    pair: tuple
-    samples: tuple  # of (n, Fraction)
-    classification: Classification
+class DensityEstimate(Record):
+    __slots__ = _fields = ("pair", "samples", "classification")
+
+    def __init__(self, pair: tuple, samples: tuple, classification: Classification):
+        super().__init__(pair, samples, classification)  # samples: of (n, Fraction)
 
 
 def _is_exponential(a: PhiFormula, b: PhiFormula) -> bool:
@@ -224,11 +224,11 @@ def rho_limit(a: PhiFormula, b: PhiFormula, schedule) -> DensityEstimate:
     )
 
 
-@dataclass(frozen=True)
-class FractionGrid:
-    n: int
-    cells: tuple  # of (a, b, in_unit, lowest_terms)
-    bold_count: int
+class FractionGrid(Record):
+    __slots__ = _fields = ("n", "cells", "bold_count")
+
+    def __init__(self, n: int, cells: tuple, bold_count: int):
+        super().__init__(n, cells, bold_count)  # cells: of (a, b, in_unit, lowest_terms)
 
 
 def grid_6_4(n: int) -> FractionGrid:

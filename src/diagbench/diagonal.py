@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import ne
@@ -28,6 +27,7 @@ from .errors import (
     PolicyRadixMismatch,
     RowTooShort,
 )
+from .record import Record
 from .rng import row_digits
 
 UNIVERSE_CAP = {2: 24, 10: 7}
@@ -76,19 +76,20 @@ def _reject_decimal_options(antidiag_digits, randomize_subdiagonal) -> None:
         raise DomainError("only the decimal family can randomize its tail")
 
 
-@dataclass(frozen=True)
-class ArraySpec:
+class ArraySpec(Record):
     """Either an explicit finite array or a named rule family.
 
     Use the `explicit` and `family` constructors; the raw initializer does not
     validate.
     """
 
-    rows: tuple | None = None
-    kind: Family | None = None
-    seed: int = 0
-    antidiag_digits: EventuallyPeriodicString | None = None
-    randomize_subdiagonal: bool = False
+    # No __slots__: the cached radix lives in the instance __dict__.
+    _fields = ("rows", "kind", "seed", "antidiag_digits", "randomize_subdiagonal")
+
+    def __init__(self, rows: tuple | None = None, kind: Family | None = None, seed: int = 0,
+                 antidiag_digits: EventuallyPeriodicString | None = None,
+                 randomize_subdiagonal: bool = False):
+        super().__init__(rows, kind, seed, antidiag_digits, randomize_subdiagonal)
 
     @classmethod
     def explicit(cls, rows) -> "ArraySpec":
@@ -146,13 +147,14 @@ class ArraySpec:
         return self.is_family and _rule(self)[1] is None
 
 
-@dataclass
-class DiagonalReport:
-    antidiagonal: object  # EventuallyPeriodicString for families, str for explicit
-    cover: Fraction
-    scan_depth: int
-    found_at: int | None
-    first_difference: dict = field(default_factory=dict)
+class DiagonalReport(Record):  # the one mutable record, and so unhashable
+    __slots__ = _fields = ("antidiagonal", "cover", "scan_depth", "found_at", "first_difference")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, antidiagonal: EventuallyPeriodicString | str, cover: Fraction,
+                 scan_depth: int, found_at: int | None, first_difference: dict = None):
+        super().__init__(antidiagonal, cover, scan_depth, found_at,
+                         {} if first_difference is None else first_difference)
 
 
 def enumerate_universe(n: int, radix: int) -> list:
@@ -206,10 +208,6 @@ def _diagonal_digit(anti: EventuallyPeriodicString, n: int) -> int:
     return 1 - anti.digit_at(n) if anti.radix == 2 else 0
 
 
-def _random_cell(spec: ArraySpec, n: int, j: int) -> int:
-    return int(row_digits(spec.seed, n, (j,), spec.radix))
-
-
 def antidiagonal_rule(spec: ArraySpec) -> EventuallyPeriodicString:
     """Closed-form antidiagonal of a rule family."""
     if not spec.is_family:
@@ -237,7 +235,7 @@ def row_digit(spec: ArraySpec, n: int, j: int) -> int:
         return anti.digit_at(j)
     if j == n:
         return _diagonal_digit(anti, n)
-    return _random_cell(spec, n, j) if tail is None else tail
+    return int(row_digits(spec.seed, n, (j,), spec.radix)) if tail is None else tail
 
 
 def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
@@ -263,15 +261,23 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
 
 
 def column(spec: ArraySpec, position: int, count: int) -> str:
-    """Digit at `position` across strings 1..count (the transposed view); count
-    is at most SCAN_CAP, where a random-tail column takes about 7 s on a 2-vCPU VM."""
+    """Digit at `position` across strings 1..count (the transposed view); at count
+    = SCAN_CAP a random tail's column takes 6 s on a 2-vCPU VM, any other under 1 ms."""
     if position < 1 or count < 1:
         raise NotAFamilyOrOutOfRange("position and count must be at least 1")
     if count > SCAN_CAP:
         raise DepthCapExceeded(f"count {count} above cap {SCAN_CAP}")
-    if not spec.is_family and count > len(spec.rows):
-        raise NotAFamilyOrOutOfRange(f"only {len(spec.rows)} rows available")
-    return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
+    if not spec.is_family:
+        if count > len(spec.rows):
+            raise NotAFamilyOrOutOfRange(f"only {len(spec.rows)} rows available")
+        return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
+    # At `position`: earlier strings hold their tail digit, later ones the antidiagonal's.
+    anti, tail = _rule(spec)
+    before = range(1, min(count, position - 1) + 1)
+    head = ("".join(row_digits(spec.seed, n, (position,), spec.radix) for n in before)
+            if tail is None else str(tail) * len(before))
+    rest = str(_diagonal_digit(anti, position)) + str(anti.digit_at(position)) * (count - position)
+    return (head + rest)[:count]
 
 
 def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) -> DiagonalReport:

@@ -12,6 +12,7 @@ import math
 import re
 
 from .errors import BadRadix, DomainError
+from .record import Record
 
 _LITERAL = re.compile(r"^([0-9]*)\(([0-9]+)\)$")
 
@@ -33,7 +34,7 @@ def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
     return preperiod[: len(preperiod) - k], period[r:] + period[:r]
 
 
-class EventuallyPeriodicString:
+class EventuallyPeriodicString(Record):
     """Canonical preperiod + period representation of an infinite string.
 
     >>> s = EventuallyPeriodicString(2, (1,), (1, 0, 1, 0))
@@ -43,7 +44,7 @@ class EventuallyPeriodicString:
     [1, 1, 0, 1, 0, 1]
     """
 
-    __slots__ = ("radix", "preperiod", "period")
+    __slots__ = _fields = ("radix", "preperiod", "period")
 
     def __init__(self, radix, preperiod, period):
         if radix not in (2, 10):
@@ -55,10 +56,7 @@ class EventuallyPeriodicString:
         for digit in preperiod + period:
             if not 0 <= digit < radix:
                 raise DomainError(f"digit {digit} out of range for radix {radix}")
-        pre, per = _canonical(preperiod, period)
-        self.radix = radix
-        self.preperiod = pre
-        self.period = per
+        super().__init__(radix, *_canonical(preperiod, period))
 
     @classmethod
     def constant(cls, radix: int, digit: int) -> "EventuallyPeriodicString":
@@ -105,18 +103,6 @@ class EventuallyPeriodicString:
         a, b = (int.from_bytes(s.prefix(window).encode(), "big") for s in (self, other))
         # The highest set bit of a ^ b lies in the first digit (byte) that differs.
         return window - ((a ^ b).bit_length() - 1) // 8 if a != b else None
-
-    def __eq__(self, other):
-        if not isinstance(other, EventuallyPeriodicString):
-            return NotImplemented
-        return (
-            self.radix == other.radix
-            and self.preperiod == other.preperiod
-            and self.period == other.period
-        )
-
-    def __hash__(self):
-        return hash((self.radix, self.preperiod, self.period))
 
     def __repr__(self):
         return f"EventuallyPeriodicString({self.radix}, {self.render()!r})"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     OddN,
     OutOfRange,
 )
+from .record import Record
 
 # The first K subsets hold about (2K)^1.5 / 6 elements.  Budget: the CLI writes
 # them in either format within 10 s and 1 GB on a 2-vCPU VM; at this cap JSON
@@ -39,15 +39,14 @@ UNRANK_BITS_CAP = 2048
 _WALK_STEPS = 32
 
 
-@dataclass(frozen=True)
-class FiniteSubset:
+class FiniteSubset(Record):
     """A finite subset of the naturals, stored as a strictly increasing tuple."""
 
-    elements: tuple = ()
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple = ()):
+        # Its own init, not Record's field loop: dovetail_enumerate builds one per item.
+        elems = tuple(elements)
         # C-level passes first; the loop runs only to name a bad element.
         if not (all(map(isinstance, elems, itertools.repeat(int))) and min(elems, default=0) >= 0):
             for e in elems:
@@ -55,6 +54,7 @@ class FiniteSubset:
                     raise DomainError(f"element {e!r} is not a natural number")
         if any(map(operator.ge, elems, elems[1:])):
             raise DomainError("elements must be strictly increasing")
+        object.__setattr__(self, "elements", elems)
 
     def __len__(self):
         return len(self.elements)
@@ -70,11 +70,13 @@ class FiniteSubset:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class CofiniteSubset:
+class CofiniteSubset(Record):
     """An infinite subset of the naturals, stored as its finite complement."""
 
-    missing: FiniteSubset
+    __slots__ = _fields = ("missing",)
+
+    def __init__(self, missing: FiniteSubset):
+        super().__init__(missing)
 
     def __contains__(self, k):
         return k not in self.missing

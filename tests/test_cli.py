@@ -751,3 +751,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"elements": [1, 3], "rank": 4}
+
+
+def test_importing_the_cli_stays_light():
+    # Every CLI call pays for its imports; dataclasses alone pulls in inspect,
+    # ast, dis and tokenize.  -S keeps site's own imports out of the count.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    heavy = "{'dataclasses', 'inspect', 'typing'}"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, diagbench.cli; print(sorted({heavy} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,16 @@ from helpers import lcm_first_difference, rotating_canonical
 def test_period_reduced_to_primitive_root():
     assert EPS(2, (), (1, 0, 1, 0)) == EPS(2, (), (1, 0))
     assert EPS(10, (), (7, 7, 7)) == EPS(10, (), (7,))
+
+
+def test_canonical_form_is_frozen_and_survives_copying():
+    s = EPS(2, (1,), (1, 0, 1, 0))
+    with pytest.raises(AttributeError):
+        s.period = (0,)
+    assert s.period == (1, 0) and repr(s) == "EventuallyPeriodicString(2, '1(10)')"
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and hash(twin) == hash(s) and twin.preperiod == (1,)
+    assert s != (2, (1,), (1, 0))
 
 
 def test_preperiod_boundary_absorbed():
