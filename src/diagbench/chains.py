@@ -52,16 +52,21 @@ class TerminalKind(Enum):
 class Terminal(Record):
     __slots__ = _fields = ("kind", "connective", "atom")
 
+    # Chain records skip Record's field loop: `analyze --script` builds three per chain.
     def __init__(self, kind: TerminalKind, connective: Connective, atom: str | None = None):
-        super().__init__(kind, connective, atom)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "connective", connective)
+        object.__setattr__(self, "atom", atom)
 
 
 class ChainAST(Record):
     __slots__ = _fields = ("target", "links", "terminal", "annotations")
 
     def __init__(self, target: str, links: tuple, terminal: Terminal, annotations: dict = None):
-        # links are (Connective, statement name) pairs
-        super().__init__(target, links, terminal, {} if annotations is None else annotations)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "links", links)  # (Connective, statement name) pairs
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "annotations", {} if annotations is None else annotations)
 
     @property
     def start(self) -> str:
@@ -88,7 +93,12 @@ class Verdict(Record):
 
     def __init__(self, pattern: ChainPattern, iff_prefix_len: int, independent: tuple,
                  inconceivable: tuple, valid: bool, rationale: str):
-        super().__init__(pattern, iff_prefix_len, independent, inconceivable, valid, rationale)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "iff_prefix_len", iff_prefix_len)
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "inconceivable", inconceivable)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "rationale", rationale)
 
 
 # A token, or else the first character that starts none (group 2).

@@ -1,15 +1,13 @@
-"""Base of the result classes, written by hand: the standard library's record
-decorator imports inspect, ast, dis and tokenize, which slows the CLI's start."""
+"""Base of the result classes, by hand: the stdlib record decorator slows CLI import."""
 
 
 class Record:
-    """Frozen fields named in `_fields`, set in order by __init__; equal to a
-    record of the same class with equal fields, and hashed by them."""
+    """Frozen `_fields`, set in order; ==, hash and repr go by them, same class only."""
 
     __slots__ = ()
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _values(self):

@@ -412,7 +412,7 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
 
 def test_a_column_at_its_cap_fits_the_budget():
     # The slowest column at the cap: a random tail on every row, one seeded
-    # hash per digit, about 6 s on a 2-vCPU VM.
+    # hash per digit, about 7 s on a 2-vCPU VM.
     budget = Budget(20)
     spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=4)
     digits = column(spec, SCAN_CAP + 1, SCAN_CAP)

@@ -180,19 +180,6 @@ def test_complement_family_mirrors_the_alternating_one():
         assert row(t25, n, 12) == row(t24, n, 12).translate(flip)
 
 
-@pytest.mark.parametrize(
-    "kind,randomize", [(k, False) for k in Family] + [(Family.DECIMAL_29, True)]
-)
-def test_column_matches_the_row_digit_loop(kind, randomize):
-    for seed in (0, 7):
-        spec = spec_for(kind, seed=seed, randomize=randomize)
-        for count in (1, 2, 9, 40):
-            # positions below, at and above count
-            for position in sorted({1, 2, count - 1, count, count + 1, count + 5} - {0}):
-                loop = "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
-                assert column(spec, position, count) == loop, (seed, count, position)
-
-
 def test_random_family_structure():
     specs = [spec_for(Family.RANDOM_BELOW_26, seed=s) for s in (0, 1, 99)]
     for sp in specs:
@@ -240,7 +227,6 @@ def test_an_over_cap_column_reads_no_digit(monkeypatch):
         raise AssertionError("a digit was read for an over-cap column")
 
     monkeypatch.setattr(diagonal, "row_digit", refuse)
-    monkeypatch.setattr(diagonal, "row_digits", refuse)
     with pytest.raises(DepthCapExceeded, match="count 1000001 above cap 1000000"):
         column(spec_for(Family.RANDOM_BELOW_26, seed=1), 3, diagonal.SCAN_CAP + 1)
 
