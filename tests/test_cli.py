@@ -436,6 +436,40 @@ def test_other_command_output_matches_the_golden_digest(capsys):
     assert digest.hexdigest() == OTHER_GOLDEN_SHA256
 
 
+# --help at every parser level, and argparse's usage errors: a bad choice for
+# each named choice list and each group without a subcommand.  The digest
+# covers stdout, stderr and the exit code at COLUMNS=80, so it pins argparse's
+# own wording as well, which is the same from Python 3.10 to 3.12.
+HELP_GOLDEN_ARGVS = (
+    ("--help",),
+    ("diagonal", "--help"),
+    ("subsets", "--help"),
+    *(("subsets", leaf, "--help") for leaf in ("rank", "unrank", "dovetail", "figure1", "table1")),
+    ("density", "--help"),
+    *(("density", leaf, "--help") for leaf in ("rho", "figure2", "grid")),
+    ("chains", "--help"),
+    *(("chains", leaf, "--help") for leaf in ("analyze", "preset")),
+    ("diagonal", "--family", "no-such-family"),
+    ("density", "rho", "--a", "no-such-formula", "--b", "nat"),
+    ("chains", "preset", "no-such-preset"),
+    (),
+    ("subsets",),
+    ("density",),
+    ("chains",),
+)
+HELP_GOLDEN_SHA256 = "c8fc8724d07bc201251299b6b04f9c366efef9ede18b083ad338ad1c8f04b9a7"
+
+
+def test_help_and_usage_errors_match_the_golden_digest(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in HELP_GOLDEN_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == (0 if "--help" in argv else 2), argv
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == HELP_GOLDEN_SHA256
+
+
 # --- the JSON encoder -------------------------------------------------------------
 
 _json_scalars = st.one_of(
