@@ -13,16 +13,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from . import chains, density, diagonal, subsets
-from .eps import EventuallyPeriodicString
 from .errors import CapExceeded, WorkbenchError
+try:  # json.encoder's C encoder, without json's decoder and scanner
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+# Literal choice names, so that building the parser imports no kernel module.
+_FAMILIES = ("lower-tri-22", "upper-tri-23", "alt-24", "alt-25", "random-below-26", "decimal-29")
+_FORMULAS = ("nat", "even", "int", "rat-paper", "rat-exact", "real", "complex")
+_PRESETS = ("biconditional-contra", "biconditional-target", "cda", "halfway-contra",
+            "halfway-target", "valid-contra", "valid-target")
 
 # Cells in a family --format csv dump (depth x width).  At this cap the
 # random-tail worst case still fits the acceptance budget.
@@ -150,6 +156,7 @@ def _csv_cells(row):
 
 
 def _csv_text(header, rows) -> str:
+    import csv
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
@@ -168,19 +175,21 @@ def _lines(path):
 
 
 def _parse_candidate(text, spec):
+    from . import diagonal, eps
     if text is None:
         if spec.is_family:
             return diagonal.antidiagonal_rule(spec)
         return diagonal.explicit_antidiagonal(spec)
     if "(" in text:
-        return EventuallyPeriodicString.parse(text, spec.radix)
+        return eps.EventuallyPeriodicString.parse(text, spec.radix)
     return text
 
 
 def _cmd_diagonal(args):
+    from . import diagonal, eps
     anti = None
     if args.antidiag is not None:
-        anti = EventuallyPeriodicString.parse(args.antidiag, 10)
+        anti = eps.EventuallyPeriodicString.parse(args.antidiag, 10)
     if args.explicit:
         diagonal._reject_decimal_options(anti, args.randomize_subdiagonal)
         spec = diagonal.ArraySpec.explicit(_lines(args.explicit))
@@ -210,7 +219,7 @@ def _cmd_diagonal(args):
     anti = report.antidiagonal
     return {
         "antidiagonal": (
-            anti.render() if isinstance(anti, EventuallyPeriodicString) else anti
+            anti.render() if isinstance(anti, eps.EventuallyPeriodicString) else anti
         ),
         "cover": report.cover,
         "scan_depth": report.scan_depth,
@@ -228,16 +237,19 @@ def _parse_elements(text):
 
 
 def _cmd_rank(args):
+    from . import subsets
     s = subsets.FiniteSubset(_parse_elements(args.elements))
     return {"elements": list(s), "rank": subsets.rank(s)}
 
 
 def _cmd_unrank(args):
+    from . import subsets
     s = subsets.unrank(args.p, args.r)
     return {"p": args.p, "r": args.r, "elements": list(s)}
 
 
 def _cmd_dovetail(args):
+    from . import subsets
     subs = subsets.dovetail_enumerate(args.count)
     if args.format == "json":
         return {"count": args.count, "subsets": [s.elements for s in subs]}
@@ -246,6 +258,7 @@ def _cmd_dovetail(args):
 
 
 def _cmd_figure1(args):
+    from . import subsets
     coeffs, ratios = subsets.figure1_data(args.n)
     if args.format == "json":
         return {
@@ -259,6 +272,7 @@ def _cmd_figure1(args):
 
 
 def _cmd_table1(args):
+    from . import subsets
     labels = None
     if args.labels is not None:
         labels = [part.strip() for part in args.labels.split(",")]
@@ -277,6 +291,7 @@ def _cmd_table1(args):
 
 def _series(fmt, name, samples):
     """(n, value, decimal) of each sample: JSON objects, or a CSV header and rows."""
+    from . import density
     if fmt == "csv":
         header = ("n", f"{name}_num", f"{name}_den", f"{name}_decimal")
         return header, [(n, v, density.decimal_str(v)) for n, v in samples]
@@ -284,6 +299,7 @@ def _series(fmt, name, samples):
 
 
 def _cmd_rho(args):
+    from . import density
     a = density.PhiFormula(args.a)
     b = density.PhiFormula(args.b)
     if args.schedule is not None:
@@ -303,12 +319,14 @@ def _cmd_rho(args):
 
 
 def _cmd_figure2(args):
+    from . import density
     schedule = [n for n in density.DEFAULT_FIGURE2_SCHEDULE if n <= args.max]
     series = _series(args.format, "f", density.figure2_data(schedule))
     return series if args.format == "csv" else {"samples": series}
 
 
 def _cmd_grid(args):
+    from . import density
     grid = density.grid_6_4(args.n)
     if args.format == "json":
         return {
@@ -325,6 +343,7 @@ def _cmd_grid(args):
 # ------------------------------------------------------------------ chains
 
 def _verdict_payload(ast):
+    from . import chains
     v = chains.verdict(ast)
     payload = {
         "chain": chains.render(ast),
@@ -341,6 +360,7 @@ def _verdict_payload(ast):
 
 
 def _cmd_analyze(args):
+    from . import chains
     if args.expr is not None:
         return _verdict_payload(chains.parse_chain(args.expr))
     # Both caps are checked as the file is read, before any chain is parsed: a
@@ -360,6 +380,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_preset(args):
+    from . import chains
     return _verdict_payload(chains.preset(args.name))
 
 
@@ -382,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = top.add_parser("diagonal", help="scan an array for a candidate string")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--family", choices=[f.value for f in diagonal.Family])
+    grp.add_argument("--family", choices=_FAMILIES)
     grp.add_argument("--explicit", metavar="FILE", help="file of digit rows")
     p.add_argument("--depth", type=int, default=100, help="rows to scan")
     p.add_argument("--prefix", type=int, default=None, help="comparison window")
@@ -421,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     ds = den.add_subparsers(dest="subcommand", required=True)
 
     p = ds.add_parser("rho", help="ratio of two count formulas over a schedule")
-    names = [f.value for f in density.PhiFormula]
-    p.add_argument("--a", choices=names, required=True)
-    p.add_argument("--b", choices=names, required=True)
+    p.add_argument("--a", choices=_FORMULAS, required=True)
+    p.add_argument("--b", choices=_FORMULAS, required=True)
     p.add_argument("--schedule", default=None, help="comma-separated sample points")
     _add_output(p, _cmd_rho, "json", "csv")
 
@@ -445,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p, _cmd_analyze, "json")
 
     p = cs.add_parser("preset", help="judge a built-in chain")
-    p.add_argument("name", choices=sorted(chains.PRESET_TEXTS))
+    p.add_argument("name", choices=_PRESETS)
     _add_output(p, _cmd_preset, "json")
 
     return parser

@@ -787,18 +787,58 @@ def test_module_entry_point():
     assert json.loads(proc.stdout) == {"elements": [1, 3], "rank": 4}
 
 
-def test_importing_the_cli_stays_light():
-    # Every CLI call pays for its imports; dataclasses alone pulls in inspect,
-    # ast, dis and tokenize.  -S keeps site's own imports out of the count.
+# Modules a CLI call should load only when it needs them: dataclasses alone
+# pulls in inspect, ast, dis and tokenize, each kernel costs a compile where
+# bytecode is not cached, and the CLI never decodes JSON.
+WATCHED = {"dataclasses", "inspect", "typing", "json.decoder",
+           *(f"diagbench.{name}" for name in
+             ("chains", "density", "diagonal", "subsets", "eps", "rng"))}
+
+
+def watched_after(code):
+    """The WATCHED modules loaded, sorted, once code has run in a fresh child.
+
+    -S keeps site's own imports out of the count.
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    heavy = "{'dataclasses', 'inspect', 'typing'}"
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         f"import sys, diagbench.cli; print(sorted({heavy} & set(sys.modules)))"],
+         f"import sys\n{code}\nprint(sorted({WATCHED!r} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_stays_light():
+    assert watched_after("import diagbench.cli") == "[]\n"
+    # The package serves EventuallyPeriodicString on first use, loading eps then.
+    assert watched_after(
+        "import diagbench.cli, diagbench\n"
+        "from diagbench import *\n"
+        "assert EventuallyPeriodicString is diagbench.eps.EventuallyPeriodicString\n"
+        "assert EventuallyPeriodicString.parse('1(0)', 2).render() == '1(0)'"
+    ) == "['diagbench.eps']\n"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (("diagonal", "--family", "lower-tri-22", "--depth", "3"),
+     ["diagbench.diagonal", "diagbench.eps", "diagbench.rng"]),  # diagonal's own imports
+    (("subsets", "rank", "--elements", "1"), ["diagbench.subsets"]),
+    (("density", "grid", "--n", "2"), ["diagbench.density"]),
+    (("chains", "preset", "cda"), ["diagbench.chains"]),
+], ids=("diagonal", "subsets", "density", "chains"))
+def test_a_call_loads_only_its_own_kernel(argv, loaded):
+    argv = [*argv, "--output", os.devnull]
+    code = f"import diagbench.cli\nassert diagbench.cli.main({argv!r}) == 0"
+    assert watched_after(code) == f"{loaded}\n"
+
+
+def test_the_parser_choice_names_match_their_kernels():
+    # build_parser takes these as literals so that it imports no kernel.
+    assert list(cli._FAMILIES) == [f.value for f in diagonal.Family]
+    assert list(cli._FORMULAS) == [f.value for f in density.PhiFormula]
+    assert list(cli._PRESETS) == sorted(chains.PRESET_TEXTS)
