@@ -212,12 +212,6 @@ def render(ast: ChainAST) -> str:
     return " ".join(parts)
 
 
-def normalize(text: str) -> str:
-    """Whitespace-canonical form of a chain, without parsing it."""
-    joined = " ".join(tok for tok, _ in _tokenize(text))
-    return joined.replace("~ ", "~")
-
-
 def _iff_prefix(conns: list) -> int:
     """How many leading connectives are `<=>`."""
     return conns.index(Connective.IMPLIES) if Connective.IMPLIES in conns else len(conns)

@@ -1,9 +1,10 @@
 """Command-line front end over the diagonal, subsets, density, and chains modules.
 
 Output is byte-deterministic for a fixed argument list (including --seed):
-JSON with two-space indent, CSV with a header row and "\n" line endings,
-rationals rendered as "p/q".  One encoder, _json, writes every JSON byte, the
-same text json.dumps gives at a two-space indent with _frac as its default.
+JSON with two-space indent, rationals rendered as "p/q"; CSV with a header row,
+"\n" line endings and no quoting, each row one join of its cells' _CELLS
+texts.  One encoder, _json, writes every JSON byte, the same text json.dumps
+gives at a two-space indent with _frac as its default.
 Output is rendered whole, as a list of chunks, before its first byte is
 written, so a run that fails writes nothing to stdout and creates no --output
 file.  Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 from fractions import Fraction
@@ -143,25 +143,21 @@ def _json_chunks(payload) -> list:
     return out
 
 
-def _csv_cells(row):
-    # A Fraction fills a num and a den column; a bool reads true/false as in JSON.
-    for cell in row:
-        if isinstance(cell, Fraction):
-            yield cell.numerator
-            yield cell.denominator
-        elif isinstance(cell, bool):
-            yield "true" if cell else "false"
-        else:
-            yield cell
+# A CSV cell's text by exact type; a Fraction fills a num and a den column.  No
+# cell holds a comma, a quote or a line break, so none is quoted.
+_CELLS = {
+    str: str,
+    int: int.__repr__,
+    bool: _SCALARS[bool],
+    Fraction: lambda f: f"{f.numerator},{f.denominator}",
+}
 
 
 def _csv_text(header, rows) -> str:
-    import csv
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(_csv_cells, rows))
-    return sink.getvalue()
+    lines = [",".join(header)]
+    lines += [",".join([_CELLS[type(cell)](cell) for cell in row]) for row in rows]
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- diagonal

@@ -260,18 +260,6 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
     return anti.prefix(n - 1) + str(_diagonal_digit(anti, n)) + rest
 
 
-def column(spec: ArraySpec, position: int, count: int) -> str:
-    """Digit at `position` across strings 1..count (the transposed view); count
-    is at most SCAN_CAP, where a random-tail column takes about 7 s on a 2-vCPU VM."""
-    if position < 1 or count < 1:
-        raise NotAFamilyOrOutOfRange("position and count must be at least 1")
-    if count > SCAN_CAP:
-        raise DepthCapExceeded(f"count {count} above cap {SCAN_CAP}")
-    if not spec.is_family and count > len(spec.rows):
-        raise NotAFamilyOrOutOfRange(f"only {len(spec.rows)} rows available")
-    return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
-
-
 def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) -> DiagonalReport:
     """Scan strings 1..depth for the candidate.
 

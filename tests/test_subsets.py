@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diagbench import subsets
 from diagbench.errors import (
     BoundTooSmall,
     CapExceeded,
@@ -17,13 +18,13 @@ from diagbench.errors import (
 from diagbench.subsets import (
     DOVETAIL_CAP,
     FIGURE1_CAP,
+    RANK_CAP,
     TABLE1_LABELS,
     UNRANK_BITS_CAP,
     UNRANK_P_CAP,
     CofiniteSubset,
     FiniteSubset,
     binomial,
-    central_term,
     complement,
     complement_inv,
     decode_subset,
@@ -48,6 +49,8 @@ def test_binomial_against_additive_triangle():
     for n in range(0, 30):
         expected = pascal_row(n)
         assert [binomial(n, p) for p in range(n + 1)] == expected
+    assert binomial(40, 20) == 137846528820
+    assert binomial(100, 50) == 100891344545564193334812497256
     with pytest.raises(OutOfRange):
         binomial(5, 6)
     with pytest.raises(OutOfRange):
@@ -164,14 +167,6 @@ def test_figure_small_and_error_cases():
         figure1_data(0)
 
 
-def test_central_term():
-    assert central_term(4) == 6
-    assert central_term(40) == 137846528820
-    assert central_term(100) == 100891344545564193334812497256
-    with pytest.raises(OddN):
-        central_term(5)
-
-
 # --- subset containers --------------------------------------------------
 
 
@@ -226,6 +221,35 @@ def test_rank_is_dense_per_cardinality():
         for c in range(b + 1, 10)
     ]
     assert sorted(rank(s) for s in subs) == list(range(binomial(10, 3)))
+
+
+def test_rank_is_the_plain_sum_below_its_cap_and_refused_from_it(monkeypatch):
+    # At the cap itself, the edges where the top term is the whole rank ...
+    assert rank(FiniteSubset((RANK_CAP - 1,))) == RANK_CAP - 1
+    with pytest.raises(CapExceeded, match=r"rank of 1 elements at or above cap 10\*\*4300"):
+        rank(FiniteSubset((RANK_CAP,)))
+    # ... then at a small cap, where the plain sum is cheap: ranks either side
+    # of it, which only the sum decides, and random subsets whose top terms
+    # fall far on either side of it.
+    cap = 10**40
+    monkeypatch.setattr(subsets, "RANK_CAP", cap)
+    rng = random.Random(4300)
+    subs = [greedy_unrank(p, cap + d) for p in range(1, 30) for d in (-1, 0)]
+    subs += [greedy_unrank(rng.randint(1, 30), rng.randrange(cap // 2, 2 * cap))
+             for _ in range(100)]
+    for _ in range(300):
+        p = rng.randint(1, 60)
+        subs.append(tuple(sorted(rng.sample(range(1 << rng.randint(p.bit_length(), 24)), p))))
+    below = 0
+    for elems in subs:
+        plain = colex_rank(elems)
+        if plain < cap:
+            assert rank(FiniteSubset(elems)) == plain
+            below += 1
+        else:
+            with pytest.raises(CapExceeded, match=f"rank of {len(elems)} elements at or above"):
+                rank(FiniteSubset(elems))
+    assert 0 < below < len(subs)
 
 
 def test_unrank_errors():
