@@ -78,9 +78,6 @@ def _json(value, indent="\n") -> str:
     >>> _json({"q": [Fraction(1, 2), None, True], "first": {3: 1}})
     '{\n  "q": [\n    "1/2",\n    null,\n    true\n  ],\n  "first": {\n    "3": 1\n  }\n}'
     """
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -101,11 +98,7 @@ def _json(value, indent="\n") -> str:
             return "[]"
         members = map(repr, value) if _ints(value) else _texts(value, inner)
         return "[" + inner + ("," + inner).join(members) + indent + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return _json(_frac(value), indent)
+    return _SCALARS[type(value)](value)
 
 
 def _texts(values, indent) -> list:
@@ -235,13 +228,13 @@ def _parse_elements(text):
 def _cmd_rank(args):
     from . import subsets
     s = subsets.FiniteSubset(_parse_elements(args.elements))
-    return {"elements": list(s), "rank": subsets.rank(s)}
+    return {"elements": s.elements, "rank": subsets.rank(s)}
 
 
 def _cmd_unrank(args):
     from . import subsets
     s = subsets.unrank(args.p, args.r)
-    return {"p": args.p, "r": args.r, "elements": list(s)}
+    return {"p": args.p, "r": args.r, "elements": s.elements}
 
 
 def _cmd_dovetail(args):
@@ -308,7 +301,7 @@ def _cmd_rho(args):
         return series
     c = est.classification
     return {
-        "pair": list(est.pair),
+        "pair": est.pair,
         "samples": series,
         "classification": {"kind": c.kind, "limit": c.limit, "tolerance": c.tolerance},
     }
@@ -345,8 +338,8 @@ def _verdict_payload(ast):
         "chain": chains.render(ast),
         "pattern": v.pattern.value,
         "iff_prefix_len": v.iff_prefix_len,
-        "independent": list(v.independent),
-        "inconceivable": list(v.inconceivable),
+        "independent": v.independent,
+        "inconceivable": v.inconceivable,
         "valid": v.valid,
         "rationale": v.rationale,
     }

@@ -105,8 +105,6 @@ def distinct_fraction_count(n: int) -> int:
 
 def correction_factor(n: int) -> Fraction:
     """Distinct fractions as a share of all (n^2 - n)/2 pairs a < b."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
     return Fraction(distinct_fraction_count(n), (n * n - n) // 2)
 
 

@@ -133,20 +133,18 @@ TABLE1_LABELS = tuple(
 
 
 def _table_row(label: str, n: int):
-    if label in tuple(str(k) for k in range(8)):
-        d = int(label)
-        q = (1 - Fraction(2 * d, n)) / (1 + Fraction(2 * d + 2, n))
-        return d, q
+    if label not in TABLE1_LABELS:
+        raise DomainError(f"unknown ratio-table label {label!r}")
+    if label.startswith("n/2-"):
+        k = int(label[4:])
+        return n // 2 - k, Fraction(k, n - (k - 1))
     for name, m, a, b, c in _PROPORTIONAL_ROWS:
         if label == name:
             if n % m != 0:
                 raise NonIntegerLabel(f"label {label} is not an integer for n={n}")
             return n // m, Fraction(a, 1) / (b + Fraction(c, n))
-    if label.startswith("n/2-") and label[4:].isdigit():
-        k = int(label[4:])
-        if 1 <= k <= 8:
-            return n // 2 - k, Fraction(k, n - (k - 1))
-    raise DomainError(f"unknown ratio-table label {label!r}")
+    d = int(label)
+    return d, (1 - Fraction(2 * d, n)) / (1 + Fraction(2 * d + 2, n))
 
 
 def table1_values(n: int, labels=None):

@@ -41,6 +41,8 @@ from diagbench.density import (
     totient_sieve,
 )
 from diagbench.diagonal import (
+    EXPLICIT_CELL_CAP,
+    SCAN_CAP,
     ArraySpec,
     Family,
     antidiagonal_rule,
@@ -369,10 +371,9 @@ def test_chains_suite():
     budget.check()
 
 
-def _analyze_child(script, out):
-    """Run `chains analyze --script` as a CLI child: (wall seconds, peak RSS MB)."""
-    argv = [sys.executable, "-m", "diagbench", "chains", "analyze",
-            "--script", str(script), "--output", str(out)]
+def _cli_child(*args):
+    """Run the CLI as a child that must exit 0: (wall seconds, peak RSS MB)."""
+    argv = [sys.executable, "-m", "diagbench", *map(str, args)]
     src = os.path.dirname(os.path.dirname(diagbench.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     start = time.monotonic()
@@ -394,7 +395,7 @@ def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
     script = tmp_path / "chain.txt"
     script.write_text("# one chain at the cap\n" + " ".join([*parts, "<=>", "P"]) + "\n")
     out = tmp_path / "verdict.json"
-    wall, peak_mb = _analyze_child(script, out)
+    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, "--output", out)
     assert wall < 5, f"took {wall:.2f}s, budget 5s"
     assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
     with open(out, encoding="utf-8") as fh:
@@ -413,12 +414,46 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
     script = tmp_path / "chains.txt"
     script.write_text(chain * SCRIPT_CAP)
     out = tmp_path / "verdicts.json"
-    wall, peak_mb = _analyze_child(script, out)
+    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, "--output", out)
     assert wall < 5, f"took {wall:.2f}s, budget 5s"
     assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert text.count('"pattern": "FLAWED_38"') == SCRIPT_CAP
+
+
+def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
+    # SCAN_CAP rows of 10 digits, EXPLICIT_CELL_CAP cells, dumped whole as
+    # CSV: about 2 s and 285 MB on a 2-vCPU VM.
+    rows = tmp_path / "rows.txt"
+    rows.write_text("".join(f"{n:010d}\n" for n in range(SCAN_CAP)))
+    out = tmp_path / "rows.csv"
+    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--format", "csv", "--output", out)
+    assert wall < 10, f"took {wall:.2f}s, budget 10s"
+    assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+    with open(out, encoding="utf-8") as fh:
+        assert fh.readline() == "n,digits\n" and fh.readline() == "1,0000000000\n"
+        assert sum(1 for _ in fh) == SCAN_CAP - 1
+
+
+def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, capsys):
+    # Without the caps a file was read whole: 2*10**6 rows of 40 digits took
+    # about 5 s and 700 MB as a --depth 10 CSV dump on a 2-vCPU VM.
+    over_rows = tmp_path / "rows.txt"
+    over_rows.write_text("1\n" * (2 * SCAN_CAP))
+    over_cells = tmp_path / "cells.txt"
+    over_cells.write_text((40 * "7" + "\n") * (EXPLICIT_CELL_CAP // 20))
+    for path, message in (
+        (over_rows, f"explicit array longer than {SCAN_CAP} rows"),
+        (over_cells, f"explicit array larger than {EXPLICIT_CELL_CAP} cells"),
+    ):
+        for flags in ((), ("--depth", "10", "--format", "csv")):
+            budget = Budget(1)
+            code = main(["diagonal", "--explicit", str(path), *flags])
+            budget.check()
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err == f"error: CapExceeded: {message}\n"
 
 
 CLI_COMMANDS = (

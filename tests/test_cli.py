@@ -581,6 +581,10 @@ def test_domain_errors_exit_2(capsys):
     code, _, err = run(capsys, "diagonal", "--explicit", "/no/such/file")
     assert code == 2
 
+    code, out, err = run(capsys, "subsets", "table1", "--n", "40", "--labels", "n/2-\u0663")
+    assert code == 2 and out == ""
+    assert err == "error: DomainError: unknown ratio-table label 'n/2-\u0663'\n"
+
 
 def test_output_to_a_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"

@@ -1,9 +1,13 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from diagbench.diagonal import (
+    EXPLICIT_CELL_CAP,
+    SCAN_CAP,
     ArraySpec,
     Family,
     FlipPolicy,
@@ -87,6 +91,8 @@ def test_antidiagonal_requires_square_prefix():
         antidiagonal_finite(["01", "10", "11"], FlipPolicy.BINARY)
     with pytest.raises(PolicyRadixMismatch):
         antidiagonal_finite(["55", "55"], FlipPolicy.BINARY)
+    with pytest.raises(DomainError):
+        antidiagonal_finite([], FlipPolicy.BINARY)
 
 
 def test_antidiagonal_differs_from_every_row():
@@ -152,6 +158,10 @@ def test_string_and_position_views():
     t29 = spec_for(Family.DECIMAL_29)
     assert row(t29, 5, 8) == "33330000"
     assert column(t29, 2, 6) == "003333"
+    assert row(t22, 5, 3) == "111"  # a window shorter than n holds antidiagonal digits only
+    b4 = ArraySpec.explicit(B4_ROWS)
+    assert row(b4, 6, 3) == "110"
+    assert column(b4, 2, 16) == "".join(r[1] for r in B4_ROWS)
 
 
 ALT_24_LINES = (
@@ -218,6 +228,11 @@ def test_view_index_errors():
         row(b4, 1, 5)
     with pytest.raises(NotAFamilyOrOutOfRange):
         row_digit(spec_for(Family.ALT_24), 0, 1)
+    with pytest.raises(NotAFamilyOrOutOfRange):
+        row(spec_for(Family.ALT_24), 0, 3)
+    for n, j in ((17, 1), (1, 5)):
+        with pytest.raises(NotAFamilyOrOutOfRange, match="outside the explicit array"):
+            row_digit(b4, n, j)
     for kind in Family:
         with pytest.raises(DepthCapExceeded):
             row(spec_for(kind, randomize=True), 1, 10**6 + 1)
@@ -236,6 +251,8 @@ def test_family_spec_validation():
         ArraySpec.family(Family.ALT_24, randomize_subdiagonal=True)
     with pytest.raises(DomainError):
         ArraySpec.explicit([])
+    with pytest.raises(DomainError, match="rows must be nonempty"):
+        ArraySpec.explicit([""])
     with pytest.raises(DomainError):
         ArraySpec.explicit(["01", "011"])
     with pytest.raises(DomainError):
@@ -243,6 +260,23 @@ def test_family_spec_validation():
     for row in ("\u0663\u0663", "\u00b2", "1\u00b9", "\uff11\uff10"):  # non-ASCII digits
         with pytest.raises(DomainError, match="contains a non-digit"):
             ArraySpec.explicit([row])
+
+
+def test_explicit_arrays_are_capped_as_their_rows_arrive():
+    at_both_caps = ArraySpec.explicit(itertools.repeat("0123456789", SCAN_CAP))
+    assert len(at_both_caps.rows) == SCAN_CAP and SCAN_CAP * 10 == EXPLICIT_CELL_CAP
+    # Each cap refuses the first row past it, and no row after that is read.
+    rows = itertools.repeat("1", SCAN_CAP + 5)
+    with pytest.raises(CapExceeded, match=f"^explicit array longer than {SCAN_CAP} rows$"):
+        ArraySpec.explicit(rows)
+    assert operator.length_hint(rows) == 4
+    rows = itertools.repeat("0" * 11, SCAN_CAP)
+    message = f"^explicit array larger than {EXPLICIT_CELL_CAP} cells$"
+    with pytest.raises(CapExceeded, match=message):
+        ArraySpec.explicit(rows)
+    assert operator.length_hint(rows) == SCAN_CAP - (EXPLICIT_CELL_CAP // 11 + 1)
+    with pytest.raises(CapExceeded, match=message):
+        ArraySpec.explicit(["0" * (EXPLICIT_CELL_CAP + 1)])
 
 
 def test_explicit_radix_follows_the_digits():
@@ -395,3 +429,5 @@ def test_scan_argument_errors():
         membership_scan(b4, "1x11", depth=4)
     with pytest.raises(DomainError, match="candidate must be a digit string"):
         membership_scan(b4, "1\u0661\u00b91", depth=4)  # Arabic-Indic 1, superscript 1
+    with pytest.raises(DomainError, match="candidate radix does not match"):
+        membership_scan(b4, STREAM3, depth=4)

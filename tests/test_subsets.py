@@ -122,8 +122,10 @@ def test_table_label_and_domain_errors():
         table1_values(18)
     with pytest.raises(DomainError):
         table1_values(2520, ["n/11"])
-    with pytest.raises(DomainError):
-        table1_values(2520, ["n/2-9"])
+    # Only the 24 listed labels: no other offset, and no other spelling of one.
+    for label in ("n/2-9", "n/2-03", "n/2-\u0663", "n/2-\u00b2"):  # Arabic-Indic 3, superscript 2
+        with pytest.raises(DomainError, match="unknown ratio-table label"):
+            table1_values(2520, [label])
 
 
 def test_table_reports_a_closed_form_mismatch(monkeypatch):
