@@ -155,10 +155,13 @@ def _csv_text(header, rows) -> str:
 
 # ---------------------------------------------------------------- diagonal
 
-def _lines(path):
-    """The stripped, non-blank lines of a text file, read one at a time."""
+def _lines(path, limit=-1):
+    """The stripped, non-blank lines of a text file, read one at a time.  A line
+    over limit characters with its ending is refused, neither held whole nor split."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        while line := fh.readline(limit):
+            if len(line) == limit and line[-1] != "\n":
+                raise CapExceeded(f"line longer than {limit - 1} characters")
             if line := line.strip():
                 yield line
 
@@ -181,7 +184,7 @@ def _cmd_diagonal(args):
         anti = eps.EventuallyPeriodicString.parse(args.antidiag, 10)
     if args.explicit:
         diagonal._reject_decimal_options(anti, args.randomize_subdiagonal)
-        spec = diagonal.ArraySpec.explicit(_lines(args.explicit))
+        spec = diagonal.ArraySpec.explicit(_lines(args.explicit, diagonal.EXPLICIT_CELL_CAP + 1))
     else:
         spec = diagonal.ArraySpec.family(
             diagonal.Family(args.family),
@@ -508,7 +511,3 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

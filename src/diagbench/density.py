@@ -262,13 +262,9 @@ def figure2_data(schedule):
     return [(n, Fraction(totals[n] - 1, (n * n - n) // 2)) for n in schedule]
 
 
-def decimal_str(value: Fraction, places: int = 6) -> str:
-    """Fixed-point rendering with round-half-even; presentation only."""
-    if places < 0:
-        raise DomainError("places must be nonnegative")
-    scaled = round(Fraction(value) * 10**places)  # round() on Fraction is half-even
+def decimal_str(value: Fraction) -> str:
+    """Six-place fixed-point rendering with round-half-even; presentation only."""
+    scaled = round(Fraction(value) * 10**6)  # round() on Fraction is half-even
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(abs(scaled)).rjust(7, "0")
+    return f"{sign}{digits[:-6]}.{digits[-6:]}"

@@ -30,7 +30,9 @@ from .errors import (
 from .record import Record
 from .rng import row_digits
 
-UNIVERSE_CAP = {2: 24, 10: 7}
+# Longest string per radix, each within 10 s and 1 GB: as children on 2 CPUs,
+# binary 23 takes 4.7 s and 0.72 GB, decimal 7 under 3 s and 0.70 GB (binary 24: 9.3 s, 1.4 GB).
+UNIVERSE_CAP = {2: 23, 10: 7}
 SCAN_CAP = 10**6
 # An explicit array holds at most SCAN_CAP rows and this many cells.  At both
 # caps its CLI CSV dump takes about 2 s and 0.3 GB on a 2-vCPU VM.

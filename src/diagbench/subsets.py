@@ -50,12 +50,12 @@ class FiniteSubset(Record):
     def __init__(self, elements: tuple = ()):
         # Its own init, not Record's field loop: dovetail_enumerate builds one per item.
         elems = tuple(elements)
-        # C-level passes first; the loop runs only to name a bad element.
-        if not (all(map(isinstance, elems, itertools.repeat(int))) and min(elems, default=0) >= 0):
+        # Ints strictly increasing from -1, in two C-level passes; the loop names a fault.
+        if not (all(map(isinstance, elems, itertools.repeat(int)))
+                and not any(map(operator.ge, (-1, *elems), elems))):
             for e in elems:
                 if not isinstance(e, int) or e < 0:
                     raise DomainError(f"element {e!r} is not a natural number")
-        if any(map(operator.ge, elems, elems[1:])):
             raise DomainError("elements must be strictly increasing")
         object.__setattr__(self, "elements", elems)
 
@@ -308,14 +308,8 @@ def encode_subset(s: FiniteSubset) -> int:
 def decode_subset(m: int) -> FiniteSubset:
     if m < 0:
         raise DomainError("code must be nonnegative")
-    elems = []
-    i = 0
-    while m:
-        if m & 1:
-            elems.append(i)
-        m >>= 1
-        i += 1
-    return FiniteSubset(tuple(elems))
+    bits = bin(m)[:1:-1]  # bit i of m is bits[i]
+    return FiniteSubset(tuple(itertools.compress(itertools.count(), map("1".__eq__, bits))))
 
 
 def complement(s: FiniteSubset) -> CofiniteSubset:

@@ -5,8 +5,9 @@ totients, Pascal addition, a colex rank summed term by term and an unrank
 that bisects for every element, recursive path enumeration, a breadth-first
 closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
-a first difference found digit by digit over an lcm window.  The point is
-that none of it shares code with the package.
+a first difference found digit by digit over an lcm window, a bitmask's
+bits read byte by byte.  The point is that none of it shares code with the
+package.
 """
 
 import math
@@ -79,6 +80,12 @@ def lcm_first_difference(a, b):
         if a.digit_at(i) != b.digit_at(i):
             return i
     return None
+
+
+def bytewise_bits(m):
+    """Positions of the set bits of m >= 0, read from its little-endian bytes."""
+    data = m.to_bytes((m.bit_length() + 7) // 8, "little")
+    return tuple(8 * k + i for k, byte in enumerate(data) for i in range(8) if byte >> i & 1)
 
 
 def totient_oracle(k):

@@ -9,6 +9,7 @@ import concurrent.futures
 import math
 import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,8 +19,6 @@ import diagbench
 from diagbench.chains import (
     CHAIN_CAP,
     ChainPattern,
-    Connective,
-    TerminalKind,
     cda_preset,
     classify,
     detect_inconceivable,
@@ -43,6 +42,7 @@ from diagbench.density import (
 from diagbench.diagonal import (
     EXPLICIT_CELL_CAP,
     SCAN_CAP,
+    UNIVERSE_CAP,
     ArraySpec,
     Family,
     antidiagonal_rule,
@@ -72,7 +72,14 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import B4_ROWS, colex_rank, random_chain_text, reachable_by_paths
+from helpers import (
+    B4_ROWS,
+    bytewise_bits,
+    chain_edges,
+    colex_rank,
+    random_chain_text,
+    reachable_by_paths,
+)
 
 
 class Budget:
@@ -95,6 +102,17 @@ def test_square_universe_reproduction():
     assert report.found_at == 16
     assert diagonal_cover(4) == Fraction(1, 4)
     budget.check()
+
+
+def test_each_universe_cap_fits_the_budget():
+    # As children on 2 CPUs: binary at 23 about 4.7 s and 0.72 GB, decimal at
+    # 7 under 3 s and 0.70 GB.  Binary at 24 took 9.3 s and 1.4 GB.
+    for radix, n in UNIVERSE_CAP.items():
+        code = (f"from diagbench.diagonal import enumerate_universe as u; "
+                f"assert len(u({n}, {radix})) == {radix}**{n}")
+        wall, peak_mb = _child("-c", code)
+        assert wall < 10, f"radix {radix}: took {wall:.2f}s, budget 10s"
+        assert peak_mb < 1024, f"radix {radix}: peak RSS {peak_mb:.0f} MB, budget 1024 MB"
 
 
 def test_a_literal_filling_one_argument_parses_within_budget():
@@ -219,6 +237,16 @@ def test_enumeration_suite():
     budget.check()
 
 
+def test_a_million_bit_code_decodes_within_budget():
+    # A shift of the whole code per bit, quadratic in its length, took 21 s
+    # here on a 2-vCPU VM; reading the bits from bin(m) takes about 0.2 s.
+    m = random.Random(11).getrandbits(10**6) | 1 << (10**6 - 1)
+    budget = Budget(2)
+    s = decode_subset(m)
+    budget.check()
+    assert s.elements == bytewise_bits(m) and s.elements[-1] == 10**6 - 1
+
+
 def test_dovetail_reaches_its_cap():
     # The sweep at its cap: about 1.3 s on a 2-vCPU VM.
     budget = Budget(5)
@@ -238,17 +266,9 @@ def test_dovetail_json_at_its_cap_fits_the_budget(tmp_path):
     # The CLI child at the cap: about 3 s and 121 MB on a 2-vCPU VM; it took
     # 5 s and 522 MB while the JSON text was built as one string.
     out = tmp_path / "dovetail.json"
-    argv = [sys.executable, "-m", "diagbench", "subsets", "dovetail",
-            "--count", str(DOVETAIL_CAP), "--format", "json", "--output", str(out)]
-    src = os.path.dirname(os.path.dirname(diagbench.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    start = time.monotonic()
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
-    wall = time.monotonic() - start
-    assert os.waitstatus_to_exitcode(status) == 0
+    wall, peak_mb = _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP,
+                               "--format", "json", "--output", out)
     assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
     assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
     with open(out, encoding="utf-8") as fh:
         head = fh.read(64)
@@ -350,38 +370,40 @@ def test_chains_suite():
     rng = random.Random(314159)
     for _ in range(200):
         chain = parse_chain(random_chain_text(rng, max_links=10))
-        nodes = [chain.start, *chain.statements, chain.target]
-        edges = {node: set() for node in nodes}
-        prev = chain.start
-        for conn, s in chain.links:
-            edges[prev].add(s)
-            if conn is Connective.IFF:
-                edges[s].add(prev)
-            prev = s
-        if chain.terminal.kind is TerminalKind.TARGET:
-            edges[prev].add(chain.target)
-            if chain.terminal.connective is Connective.IFF:
-                edges[chain.target].add(prev)
-        elif chain.terminal.kind is TerminalKind.TARGET_CONJ_NEG:
-            edges[prev].add(chain.target)
-            edges[prev].add(chain.start)
+        edges = chain_edges(chain)
         closure = entailment_closure(chain)
-        for node in nodes:
+        for node in edges:
             assert closure[node] == reachable_by_paths(edges, node)
     budget.check()
 
 
-def _cli_child(*args):
-    """Run the CLI as a child that must exit 0: (wall seconds, peak RSS MB)."""
-    argv = [sys.executable, "-m", "diagbench", *map(str, args)]
+# A spawned child shares its parent's memory image until it execs, and Linux
+# keeps that image's high-water mark in the child's ru_maxrss.  So children
+# start from a small launcher, not from this process with its larger peak.
+_LAUNCHER = """\
+import os, sys, time
+start = time.monotonic()
+pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.monotonic() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _child(*args):
+    """Run Python with args as a child that must exit 0: (wall seconds, peak RSS MB)."""
     src = os.path.dirname(os.path.dirname(diagbench.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    start = time.monotonic()
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
-    wall = time.monotonic() - start
-    assert os.waitstatus_to_exitcode(status) == 0
-    return wall, usage.ru_maxrss / 1024  # KiB on Linux
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *map(str, args)]
+    report = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    wall, maxrss, code = report.stdout.split()
+    assert code == "0"
+    return float(wall), int(maxrss) / 1024  # KiB on Linux
+
+
+def _cli_child(*args):
+    """Run the CLI as a child that must exit 0: (wall seconds, peak RSS MB)."""
+    return _child("-m", "diagbench", *args)
 
 
 def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
@@ -443,9 +465,15 @@ def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, cap
     over_rows.write_text("1\n" * (2 * SCAN_CAP))
     over_cells = tmp_path / "cells.txt"
     over_cells.write_text((40 * "7" + "\n") * (EXPLICIT_CELL_CAP // 20))
+    over_line = tmp_path / "line.txt"
+    over_line.write_text("7" * (EXPLICIT_CELL_CAP + 1) + "\n")
+    spaced = tmp_path / "spaced.txt"  # refused, not read as the two rows 12 and 34
+    spaced.write_text("12" + " " * EXPLICIT_CELL_CAP + "34\n")
     for path, message in (
         (over_rows, f"explicit array longer than {SCAN_CAP} rows"),
         (over_cells, f"explicit array larger than {EXPLICIT_CELL_CAP} cells"),
+        (over_line, f"line longer than {EXPLICIT_CELL_CAP} characters"),
+        (spaced, f"line longer than {EXPLICIT_CELL_CAP} characters"),
     ):
         for flags in ((), ("--depth", "10", "--format", "csv")):
             budget = Budget(1)
@@ -454,6 +482,19 @@ def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, cap
             out, err = capsys.readouterr()
             assert code == 2 and out == ""
             assert err == f"error: CapExceeded: {message}\n"
+
+
+def test_an_over_long_explicit_line_is_refused_before_it_is_held(tmp_path):
+    # A 5*10**7-digit line reached 110-120 MB peak RSS on a 2-vCPU VM while it
+    # was read whole, and now stops at about 34 MB; a many-line over-cap file
+    # stops at about 40 MB.
+    path = tmp_path / "line.txt"
+    path.write_text("7" * (5 * EXPLICIT_CELL_CAP) + "\n")
+    code = ("import sys; from diagbench.cli import main; "
+            f"sys.exit(main(['diagonal', '--explicit', {str(path)!r}]) != 2)")
+    wall, peak_mb = _child("-c", code)
+    assert wall < 5, f"took {wall:.2f}s, budget 5s"
+    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
 
 
 CLI_COMMANDS = (

@@ -230,24 +230,9 @@ def test_closure_matches_a_path_walk_on_random_chains():
     rng = random.Random(7)
     for _ in range(200):
         ast = parse_chain(random_chain_text(rng))
-        # rebuild the edge relation exactly as documented
-        nodes = [ast.start, *ast.statements, ast.target]
-        edges = {node: set() for node in nodes}
-        prev = ast.start
-        for conn, s in ast.links:
-            edges[prev].add(s)
-            if conn is Connective.IFF:
-                edges[s].add(prev)
-            prev = s
-        if ast.terminal.kind is TerminalKind.TARGET:
-            edges[prev].add(ast.target)
-            if ast.terminal.connective is Connective.IFF:
-                edges[ast.target].add(prev)
-        elif ast.terminal.kind is TerminalKind.TARGET_CONJ_NEG:
-            edges[prev].add(ast.target)
-            edges[prev].add(ast.start)
+        edges = chain_edges(ast)
         closure = entailment_closure(ast)
-        for node in nodes:
+        for node in edges:
             assert closure[node] == reachable_by_paths(edges, node)
         expected = [
             s

@@ -647,6 +647,24 @@ def test_non_ascii_digit_rows_exit_2(tmp_path, capsys, row):
     assert err == f"error: DomainError: row {row!r} contains a non-digit\n"
 
 
+def test_an_explicit_line_is_bounded_with_its_whitespace(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(diagonal, "EXPLICIT_CELL_CAP", 5)
+    path = tmp_path / "rows.txt"
+    outs = set()
+    for text in ("12345\n", "12345\r\n", "12345", "\n12345\n\n"):
+        path.write_bytes(text.encode())
+        code, out, err = run(capsys, "diagonal", "--explicit", str(path), "--candidate", "12344")
+        assert code == 0 and err == ""
+        outs.add(out)
+    assert len(outs) == 1 and json.loads(out)["first_difference"] == {"1": 5}
+    # Surrounding whitespace counts, and a long line is refused, never split into rows.
+    for text in ("123456\n", " 12345\n", "12345 \n", "12" + " " * 10 + "34\n"):
+        path.write_bytes(text.encode())
+        code, out, err = run(capsys, "diagonal", "--explicit", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: CapExceeded: line longer than 5 characters\n"
+
+
 def test_closed_form_mismatch_exits_2(capsys, monkeypatch):
     from diagbench import subsets
 

@@ -313,10 +313,8 @@ def test_figure_series_matches_the_sieve_totals():
 def test_decimal_rendering():
     assert decimal_str(Fraction(3, 4)) == "0.750000"
     assert decimal_str(Fraction(-3, 4)) == "-0.750000"
-    assert decimal_str(Fraction(1, 3), 4) == "0.3333"
-    assert decimal_str(Fraction(1, 2), 0) == "0"
-    assert decimal_str(Fraction(3, 2), 0) == "2"
-    assert decimal_str(Fraction(125, 1000), 2) == "0.12"
-    assert decimal_str(Fraction(135, 1000), 2) == "0.14"
-    with pytest.raises(DomainError):
-        decimal_str(Fraction(1), -1)
+    assert decimal_str(Fraction(7, 3)) == "2.333333"
+    # Ties at the sixth place round half to even.
+    assert decimal_str(Fraction(125, 10**7)) == "0.000012"
+    assert decimal_str(Fraction(135, 10**7)) == "0.000014"
+    assert decimal_str(Fraction(-125, 10**7)) == "-0.000012"

@@ -57,7 +57,7 @@ def test_universe_of_length_4_bit_strings():
 def test_universe_caps():
     assert len(enumerate_universe(1, 10)) == 10
     with pytest.raises(CapExceeded):
-        enumerate_universe(25, 2)
+        enumerate_universe(24, 2)
     with pytest.raises(CapExceeded):
         enumerate_universe(8, 10)
     with pytest.raises(CapExceeded):

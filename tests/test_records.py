@@ -215,6 +215,8 @@ def test_finite_subset_validation():
     assert FiniteSubset(elements=range(3)).elements == (0, 1, 2)
     for bad, message in [
         ((1, -1), "element -1 is not a natural number"),
+        ((-1, 2), "element -1 is not a natural number"),
+        ((2, 1, -1), "element -1 is not a natural number"),
         ((1, "a"), "element 'a' is not a natural number"),
         ((2.0,), "element 2.0 is not a natural number"),
         ((2, 1), "elements must be strictly increasing"),

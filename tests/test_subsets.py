@@ -39,7 +39,7 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import colex_rank, greedy_unrank, pascal_row
+from helpers import bytewise_bits, colex_rank, greedy_unrank, pascal_row
 
 
 # --- binomials and ratios ----------------------------------------------
@@ -393,6 +393,14 @@ def test_encode_decode_goldens():
     assert decode_subset(0) == FiniteSubset()
     with pytest.raises(DomainError):
         decode_subset(-1)
+
+
+def test_decode_matches_a_bytewise_oracle():
+    rng = random.Random(13)
+    codes = [0, 1, 2**64, 2**64 - 1]
+    codes += [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(200)]
+    for m in codes:
+        assert decode_subset(m).elements == bytewise_bits(m)
 
 
 def test_encode_decode_inverse_sample():
