@@ -40,9 +40,9 @@ CSV_CELL_CAP = 10**6
 # a 2-vCPU VM, within a budget of 5 s and 256 MB.
 SCRIPT_CAP = 2 * 10**4
 
-
-# List items per chunk when a top-level list is rendered in pieces.
-_BATCH = 1024
+# Characters in one --explicit or --script file, as read.  A file at both
+# explicit-array caps, 10**6 rows of 10 digits, is 1.1 * 10**7 characters.
+FILE_CAP = 12 * 10**6
 
 
 # Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
@@ -107,14 +107,14 @@ def _texts(values, indent) -> list:
 
 
 def _list_pieces(value, indent) -> list:
-    """_json(value, indent) as a list of strings, _BATCH items of a list to a string."""
+    """_json(value, indent) as a list of strings, one to each item of a list."""
     if not isinstance(value, (list, tuple)) or not value or _ints(value):
         return [_json(value, indent)]
     inner = indent + "  "
     sep = "," + inner
     out = ["[" + inner]
-    for i in range(0, len(value), _BATCH):
-        out += (sep.join(_texts(value[i : i + _BATCH], inner)), sep)
+    for text in _texts(value, inner):
+        out += (text, sep)
     out[-1] = indent + "]"
     return out
 
@@ -123,7 +123,7 @@ def _json_chunks(payload) -> list:
     """The JSON text of payload and a closing newline, as a list of strings.
 
     A top-level list, and each list value of a top-level dict, is split into
-    pieces of _BATCH items, so no one string holds a large payload's text.
+    one string per item, so no one string holds a large payload's text.
     """
     if not isinstance(payload, dict) or not payload:
         return [*_list_pieces(payload, "\n"), "\n"]
@@ -136,14 +136,9 @@ def _json_chunks(payload) -> list:
     return out
 
 
-# A CSV cell's text by exact type; a Fraction fills a num and a den column.  No
-# cell holds a comma, a quote or a line break, so none is quoted.
-_CELLS = {
-    str: str,
-    int: int.__repr__,
-    bool: _SCALARS[bool],
-    Fraction: lambda f: f"{f.numerator},{f.denominator}",
-}
+# A CSV cell's text by exact type: _SCALARS's, but a str bare and a Fraction in
+# a num and a den column.  No cell holds a comma, quote or line break: none is quoted.
+_CELLS = {**_SCALARS, str: str, Fraction: lambda f: f"{f.numerator},{f.denominator}"}
 
 
 def _csv_text(header, rows) -> str:
@@ -155,15 +150,14 @@ def _csv_text(header, rows) -> str:
 
 # ---------------------------------------------------------------- diagonal
 
-def _lines(path, limit=-1):
-    """The stripped, non-blank lines of a text file, read one at a time.  A line
-    over limit characters with its ending is refused, neither held whole nor split."""
+def _lines(path):
+    """The stripped, non-blank lines of a text file of at most FILE_CAP
+    characters, read with one bounded read; a longer file is refused."""
     with open(path, encoding="utf-8") as fh:
-        while line := fh.readline(limit):
-            if len(line) == limit and line[-1] != "\n":
-                raise CapExceeded(f"line longer than {limit - 1} characters")
-            if line := line.strip():
-                yield line
+        text = fh.read(FILE_CAP + 1)
+    if len(text) > FILE_CAP:
+        raise CapExceeded(f"file longer than {FILE_CAP} characters")
+    return filter(None, map(str.strip, text.split("\n")))
 
 
 def _parse_candidate(text, spec):
@@ -184,7 +178,7 @@ def _cmd_diagonal(args):
         anti = eps.EventuallyPeriodicString.parse(args.antidiag, 10)
     if args.explicit:
         diagonal._reject_decimal_options(anti, args.randomize_subdiagonal)
-        spec = diagonal.ArraySpec.explicit(_lines(args.explicit, diagonal.EXPLICIT_CELL_CAP + 1))
+        spec = diagonal.ArraySpec.explicit(_lines(args.explicit))
     else:
         spec = diagonal.ArraySpec.family(
             diagonal.Family(args.family),
@@ -355,8 +349,8 @@ def _cmd_analyze(args):
     from . import chains
     if args.expr is not None:
         return _verdict_payload(chains.parse_chain(args.expr))
-    # Both caps are checked as the file is read, before any chain is parsed: a
-    # chain has one more connective than statements, and each holds one "=>".
+    # Both caps are checked before any chain is parsed: a chain has one more
+    # connective than statements, and each holds one "=>".
     lines = []
     statements = 0
     for line in _lines(args.script):

@@ -160,9 +160,8 @@ class ArraySpec(Record):
         return self.is_family and _rule(self)[1] is None
 
 
-class DiagonalReport(Record):  # the one mutable record, and so unhashable
+class DiagonalReport(Record):  # holds a dict, and so unhashable
     __slots__ = _fields = ("antidiagonal", "cover", "scan_depth", "found_at", "first_difference")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, antidiagonal: EventuallyPeriodicString | str, cover: Fraction,
                  scan_depth: int, found_at: int | None, first_difference: dict = None):

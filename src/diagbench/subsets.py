@@ -302,7 +302,11 @@ def dovetail_enumerate(count: int):
 
 
 def encode_subset(s: FiniteSubset) -> int:
-    return sum(1 << e for e in s.elements)
+    # One base-2 parse, linear in the code's length where a sum of shifts is quadratic.
+    digits = bytearray(b"0" * (s.elements[-1] + 1 if s.elements else 1))
+    for e in s.elements:
+        digits[-1 - e] = 49  # "1", bit e
+    return int(digits, 2)
 
 
 def decode_subset(m: int) -> FiniteSubset:

@@ -6,8 +6,8 @@ that bisects for every element, recursive path enumeration, a breadth-first
 closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
 a first difference found digit by digit over an lcm window, a bitmask's
-bits read byte by byte.  The point is that none of it shares code with the
-package.
+bits read byte by byte and summed back one shift at a time.  The point is
+that none of it shares code with the package.
 """
 
 import math
@@ -86,6 +86,11 @@ def bytewise_bits(m):
     """Positions of the set bits of m >= 0, read from its little-endian bytes."""
     data = m.to_bytes((m.bit_length() + 7) // 8, "little")
     return tuple(8 * k + i for k, byte in enumerate(data) for i in range(8) if byte >> i & 1)
+
+
+def shift_sum(elements):
+    """The bitmask of a set of naturals, one shifted bit added per element."""
+    return sum(1 << e for e in elements)
 
 
 def totient_oracle(k):

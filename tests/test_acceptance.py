@@ -27,7 +27,7 @@ from diagbench.chains import (
     preset,
     verdict,
 )
-from diagbench.cli import CSV_CELL_CAP, SCRIPT_CAP, main
+from diagbench.cli import CSV_CELL_CAP, FILE_CAP, SCRIPT_CAP, main
 from diagbench.density import (
     EXPONENTIAL_CAP,
     PhiFormula,
@@ -240,11 +240,15 @@ def test_enumeration_suite():
 def test_a_million_bit_code_decodes_within_budget():
     # A shift of the whole code per bit, quadratic in its length, took 21 s
     # here on a 2-vCPU VM; reading the bits from bin(m) takes about 0.2 s.
+    # Encoding it back as a sum of shifts, also quadratic, took 13 s; one
+    # base-2 parse takes about 0.03 s.
     m = random.Random(11).getrandbits(10**6) | 1 << (10**6 - 1)
     budget = Budget(2)
     s = decode_subset(m)
+    code = encode_subset(s)
     budget.check()
     assert s.elements == bytewise_bits(m) and s.elements[-1] == 10**6 - 1
+    assert code == m
 
 
 def test_dovetail_reaches_its_cap():
@@ -390,20 +394,22 @@ print(time.monotonic() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(statu
 """
 
 
-def _child(*args):
-    """Run Python with args as a child that must exit 0: (wall seconds, peak RSS MB)."""
+def _child(*args, code=0, err=None):
+    """Run Python with args as a child that must exit with code, and write just
+    err to stderr if err is given: (wall seconds, peak RSS MB)."""
     src = os.path.dirname(os.path.dirname(diagbench.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *map(str, args)]
-    report = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    wall, maxrss, code = report.stdout.split()
-    assert code == "0"
+    report = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    wall, maxrss, status = report.stdout.split()
+    assert int(status) == code, report.stderr
+    assert err is None or report.stderr == err
     return float(wall), int(maxrss) / 1024  # KiB on Linux
 
 
-def _cli_child(*args):
-    """Run the CLI as a child that must exit 0: (wall seconds, peak RSS MB)."""
-    return _child("-m", "diagbench", *args)
+def _cli_child(*args, **expect):
+    """Run the CLI as a child, checked as _child checks it: (wall seconds, peak RSS MB)."""
+    return _child("-m", "diagbench", *args, **expect)
 
 
 def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
@@ -463,17 +469,20 @@ def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, cap
     # about 5 s and 700 MB as a --depth 10 CSV dump on a 2-vCPU VM.
     over_rows = tmp_path / "rows.txt"
     over_rows.write_text("1\n" * (2 * SCAN_CAP))
-    over_cells = tmp_path / "cells.txt"
-    over_cells.write_text((40 * "7" + "\n") * (EXPLICIT_CELL_CAP // 20))
+    over_cells = tmp_path / "cells.txt"  # 1.01 * 10**7 characters, under FILE_CAP
+    over_cells.write_text((100 * "7" + "\n") * (EXPLICIT_CELL_CAP // 100 + 1))
     over_line = tmp_path / "line.txt"
     over_line.write_text("7" * (EXPLICIT_CELL_CAP + 1) + "\n")
     spaced = tmp_path / "spaced.txt"  # refused, not read as the two rows 12 and 34
     spaced.write_text("12" + " " * EXPLICIT_CELL_CAP + "34\n")
+    over_file = tmp_path / "file.txt"
+    over_file.write_text("7\n" * (FILE_CAP // 2) + "7")
     for path, message in (
         (over_rows, f"explicit array longer than {SCAN_CAP} rows"),
         (over_cells, f"explicit array larger than {EXPLICIT_CELL_CAP} cells"),
-        (over_line, f"line longer than {EXPLICIT_CELL_CAP} characters"),
-        (spaced, f"line longer than {EXPLICIT_CELL_CAP} characters"),
+        (over_line, f"explicit array larger than {EXPLICIT_CELL_CAP} cells"),
+        (spaced, f"explicit array larger than {EXPLICIT_CELL_CAP} cells"),
+        (over_file, f"file longer than {FILE_CAP} characters"),
     ):
         for flags in ((), ("--depth", "10", "--format", "csv")):
             budget = Budget(1)
@@ -486,8 +495,7 @@ def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, cap
 
 def test_an_over_long_explicit_line_is_refused_before_it_is_held(tmp_path):
     # A 5*10**7-digit line reached 110-120 MB peak RSS on a 2-vCPU VM while it
-    # was read whole, and now stops at about 34 MB; a many-line over-cap file
-    # stops at about 40 MB.
+    # was read whole, and now stops at about 38 MB, past FILE_CAP.
     path = tmp_path / "line.txt"
     path.write_text("7" * (5 * EXPLICIT_CELL_CAP) + "\n")
     code = ("import sys; from diagbench.cli import main; "
@@ -495,6 +503,41 @@ def test_an_over_long_explicit_line_is_refused_before_it_is_held(tmp_path):
     wall, peak_mb = _child("-c", code)
     assert wall < 5, f"took {wall:.2f}s, budget 5s"
     assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
+
+
+def test_a_flooded_input_file_exits_2_before_its_lines_are_split(tmp_path):
+    # Blank and "#" lines met no cap, and a script line had no bound, so the
+    # cost grew with the file.  At this size, on 2 CPUs, the blank --explicit
+    # lines took 3.2 s, the "#" lines 2.7 s and exit 0, and the one chain 0.5 s,
+    # 130 MB and exit 0.  One bounded read refuses each in about 0.1 s and 38 MB.
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n" * (FILE_CAP + 1))
+    comments = tmp_path / "comments.txt"
+    comments.write_text("#\n" * (FILE_CAP // 2 + 1))
+    chain = tmp_path / "chain.txt"  # one chain, one long statement name
+    head, tail = "~P => Q", " => CONTRA\n"
+    chain.write_text(head + "1" * (FILE_CAP + 1 - len(head) - len(tail)) + tail)
+    err = f"error: CapExceeded: file longer than {FILE_CAP} characters\n"
+    for argv in (
+        ("diagonal", "--explicit", blank),
+        ("chains", "analyze", "--script", comments),
+        ("chains", "analyze", "--script", chain),
+    ):
+        wall, peak_mb = _cli_child(*argv, code=2, err=err)
+        assert wall < 2, f"{argv[-1].name} took {wall:.2f}s, budget 2s"
+        assert peak_mb < 64, f"{argv[-1].name} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+
+
+def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
+    # FILE_CAP characters, all blank lines but two rows: about 1 s and 131 MB
+    # on a 2-vCPU VM, as the split holds one list entry per line.
+    rows = tmp_path / "rows.txt"
+    rows.write_text("\n" * (FILE_CAP - 6) + "12\n34\n")
+    out = tmp_path / "report.json"
+    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
+    assert wall < 10, f"took {wall:.2f}s, budget 10s"
+    assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+    assert '"scan_depth": 2,' in out.read_text()
 
 
 CLI_COMMANDS = (

@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -526,11 +525,9 @@ _json_payloads = st.recursive(
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_json_payloads, st.integers(min_value=1, max_value=3))
-def test_json_chunks_equal_json_dumps(payload, batch):
-    # A small batch splits every top-level list into several pieces.
-    with mock.patch.object(cli, "_BATCH", batch):
-        chunks = cli._json_chunks(payload)
+@given(_json_payloads)
+def test_json_chunks_equal_json_dumps(payload):
+    chunks = cli._json_chunks(payload)
     assert all(isinstance(chunk, str) for chunk in chunks)
     assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
 
@@ -647,22 +644,29 @@ def test_non_ascii_digit_rows_exit_2(tmp_path, capsys, row):
     assert err == f"error: DomainError: row {row!r} contains a non-digit\n"
 
 
-def test_an_explicit_line_is_bounded_with_its_whitespace(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(diagonal, "EXPLICIT_CELL_CAP", 5)
+def test_an_explicit_file_is_bounded_by_its_characters(tmp_path, capsys, monkeypatch):
     path = tmp_path / "rows.txt"
     outs = set()
-    for text in ("12345\n", "12345\r\n", "12345", "\n12345\n\n"):
+    # The bound counts characters as read, where "\r\n" is one "\n".
+    for text in ("12345\n", "12345\r\n", "12345", "\n 12345 \n\n"):
         path.write_bytes(text.encode())
+        size = len(text.replace("\r\n", "\n"))
+        monkeypatch.setattr(cli, "FILE_CAP", size)
         code, out, err = run(capsys, "diagonal", "--explicit", str(path), "--candidate", "12344")
         assert code == 0 and err == ""
         outs.add(out)
-    assert len(outs) == 1 and json.loads(out)["first_difference"] == {"1": 5}
-    # Surrounding whitespace counts, and a long line is refused, never split into rows.
-    for text in ("123456\n", " 12345\n", "12345 \n", "12" + " " * 10 + "34\n"):
-        path.write_bytes(text.encode())
-        code, out, err = run(capsys, "diagonal", "--explicit", str(path))
+        monkeypatch.setattr(cli, "FILE_CAP", size - 1)
+        code, out, err = run(capsys, "diagonal", "--explicit", str(path), "--candidate", "12344")
         assert code == 2 and out == ""
-        assert err == "error: CapExceeded: line longer than 5 characters\n"
+        assert err == f"error: CapExceeded: file longer than {size - 1} characters\n"
+    (out,) = outs
+    assert json.loads(out)["first_difference"] == {"1": 5}
+    # Spaces inside a line are kept: the line is refused, never split into rows.
+    monkeypatch.undo()
+    path.write_text("12" + " " * 10 + "34\n")
+    code, out, err = run(capsys, "diagonal", "--explicit", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: DomainError: row {'12' + ' ' * 10 + '34'!r} contains a non-digit\n"
 
 
 def test_closed_form_mismatch_exits_2(capsys, monkeypatch):

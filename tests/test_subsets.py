@@ -39,7 +39,7 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import bytewise_bits, colex_rank, greedy_unrank, pascal_row
+from helpers import bytewise_bits, colex_rank, greedy_unrank, pascal_row, shift_sum
 
 
 # --- binomials and ratios ----------------------------------------------
@@ -401,6 +401,15 @@ def test_decode_matches_a_bytewise_oracle():
     codes += [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(200)]
     for m in codes:
         assert decode_subset(m).elements == bytewise_bits(m)
+
+
+def test_encode_matches_a_shift_sum_oracle():
+    rng = random.Random(17)
+    codes = [0, 2**64]
+    codes += [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(200)]
+    for m in codes:
+        elements = bytewise_bits(m)
+        assert encode_subset(FiniteSubset(elements)) == shift_sum(elements) == m
 
 
 def test_encode_decode_inverse_sample():
