@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -151,13 +152,13 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------- diagonal
 
 def _lines(path):
-    """The stripped, non-blank lines of a text file of at most FILE_CAP
-    characters, read with one bounded read; a longer file is refused."""
+    """The stripped, non-blank lines of a file of at most FILE_CAP characters,
+    read at once; runs of line feeds fold to one, so blank lines hold nothing."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read(FILE_CAP + 1)
     if len(text) > FILE_CAP:
         raise CapExceeded(f"file longer than {FILE_CAP} characters")
-    return filter(None, map(str.strip, text.split("\n")))
+    return filter(None, map(str.strip, re.sub("\n\n+", "\n", text).split("\n")))
 
 
 def _parse_candidate(text, spec):

@@ -16,7 +16,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BadSchedule, CapExceeded, DivisionByZero, DomainError
+from .errors import BadSchedule, CapExceeded, DomainError
 from .record import Record
 
 SIEVE_CAP = 10**7
@@ -154,10 +154,7 @@ def _phi_series(formula: PhiFormula, schedule) -> list:
 
 
 def rho_finite(a: PhiFormula, b: PhiFormula, n: int) -> Fraction:
-    denom = phi_eval(b, n)
-    if denom == 0:
-        raise DivisionByZero(f"{b.value} evaluates to 0 at n={n}")
-    return phi_eval(a, n) / denom
+    return phi_eval(a, n) / phi_eval(b, n)  # every formula is positive at n >= 1
 
 
 class Classification(Record):
@@ -255,9 +252,6 @@ def figure2_data(schedule):
         raise DomainError("schedule must be nonempty")
     if any(not isinstance(n, int) or n < 2 for n in schedule):
         raise DomainError("sample points must be naturals >= 2")
-    top = max(schedule)
-    if top > SIEVE_CAP:
-        raise CapExceeded(f"sample point {top} above sieve cap {SIEVE_CAP}")
     totals = totient_sums(schedule)
     return [(n, Fraction(totals[n] - 1, (n * n - n) // 2)) for n in schedule]
 

@@ -98,26 +98,24 @@ class ArraySpec(Record):
 
     @classmethod
     def explicit(cls, rows) -> "ArraySpec":
-        held, cells = [], 0
-        for r in rows:  # both caps are checked before one more row is held
+        held, cells, width = [], 0, None
+        for r in rows:  # each row is checked, caps first, before it is held
             cells += len(r)
             if len(held) == SCAN_CAP:
                 raise CapExceeded(f"explicit array longer than {SCAN_CAP} rows")
             if cells > EXPLICIT_CELL_CAP:
                 raise CapExceeded(f"explicit array larger than {EXPLICIT_CELL_CAP} cells")
-            held.append(r)
-        rows = tuple(held)
-        if not rows:
-            raise DomainError("explicit array needs at least one row")
-        width = len(rows[0])
-        if width == 0:
-            raise DomainError("explicit rows must be nonempty")
-        for r in rows:
-            if len(r) != width:
-                raise DomainError("explicit rows must all have equal length")
+            if len(r) != width:  # the first row sets the width
+                if held or not r:
+                    raise DomainError("explicit rows must all have equal length" if held
+                                      else "explicit rows must be nonempty")
+                width = len(r)
             if not _is_digits(r):
                 raise DomainError(f"row {r!r} contains a non-digit")
-        return cls(rows=rows)
+            held.append(r)
+        if not held:
+            raise DomainError("explicit array needs at least one row")
+        return cls(rows=tuple(held))
 
     @classmethod
     def family(
@@ -154,10 +152,6 @@ class ArraySpec(Record):
         if self.is_family:
             return _rule(self)[0].radix
         return 10 if any(r.strip("01") for r in self.rows) else 2
-
-    @property
-    def has_random_tail(self) -> bool:
-        return self.is_family and _rule(self)[1] is None
 
 
 class DiagonalReport(Record):  # holds a dict, and so unhashable

@@ -57,10 +57,6 @@ class BadSchedule(DomainError):
     """Sample schedule is too short or not strictly increasing."""
 
 
-class DivisionByZero(DomainError):
-    """Denominator formula evaluated to zero."""
-
-
 class ClosedFormMismatch(WorkbenchError):
     """A closed-form table row disagrees with the exact coefficient quotient."""
 

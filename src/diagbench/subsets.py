@@ -65,9 +65,6 @@ class FiniteSubset(Record):
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, k):
-        return k in self.elements
-
     def __repr__(self):
         inner = ",".join(str(e) for e in self.elements)
         return "{" + inner + "}"

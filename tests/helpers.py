@@ -7,13 +7,15 @@ closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
 a first difference found digit by digit over an lcm window, a bitmask's
 bits read byte by byte and summed back one shift at a time.  The point is
-that none of it shares code with the package.
+that none of it shares code with the package; `has_random_tail`, a test's
+question about a spec and no oracle, reads the package's family rule table.
 """
 
 import math
 import re
 from collections import deque
 
+from diagbench import diagonal
 from diagbench.chains import Connective, TerminalKind
 
 # The worked 16-string binary example, in its printed order (strings read
@@ -95,6 +97,11 @@ def shift_sum(elements):
 
 def totient_oracle(k):
     return sum(1 for a in range(1, k + 1) if math.gcd(a, k) == 1)
+
+
+def has_random_tail(spec):
+    """Whether a family's digits past the diagonal are seeded random draws."""
+    return spec.is_family and diagonal._rule(spec)[1] is None
 
 
 def naive_scan(row_digit, candidate_digit, depth, window):

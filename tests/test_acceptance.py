@@ -529,15 +529,32 @@ def test_a_flooded_input_file_exits_2_before_its_lines_are_split(tmp_path):
 
 
 def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
-    # FILE_CAP characters, all blank lines but two rows: about 1 s and 131 MB
-    # on a 2-vCPU VM, as the split holds one list entry per line.
+    # FILE_CAP characters, all blank lines but two rows: about 0.2 s and 39 MB
+    # as a child on 2 CPUs.  A split that held one list entry per blank line
+    # took 0.8 s and 130 MB.
     rows = tmp_path / "rows.txt"
     rows.write_text("\n" * (FILE_CAP - 6) + "12\n34\n")
     out = tmp_path / "report.json"
     wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
     assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
     assert '"scan_depth": 2,' in out.read_text()
+
+
+def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
+    # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs:
+    # about 1 s and 210 MB for each of these families.
+    out = tmp_path / "report.json"
+    for family in (("alt-24",), ("random-below-26",),
+                   ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal")):
+        wall, peak_mb = _cli_child("diagonal", "--family", *family, "--seed", "7",
+                                   "--depth", SCAN_CAP, "--output", out)
+        assert wall < 10, f"{family[0]} took {wall:.2f}s, budget 10s"
+        assert peak_mb < 1024, f"{family[0]} peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text
+        assert text.endswith(f'    "{SCAN_CAP}": {SCAN_CAP}\n  }}\n}}\n')
 
 
 CLI_COMMANDS = (

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import stat
 import subprocess
@@ -667,6 +668,19 @@ def test_an_explicit_file_is_bounded_by_its_characters(tmp_path, capsys, monkeyp
     code, out, err = run(capsys, "diagonal", "--explicit", str(path))
     assert code == 2 and out == ""
     assert err == f"error: DomainError: row {'12' + ' ' * 10 + '34'!r} contains a non-digit\n"
+
+
+def test_lines_match_a_split_on_line_feeds(tmp_path):
+    # Only "\n" ends a line; the other line breaks that str.splitlines knows
+    # are whitespace that strip removes at a line's ends and keeps inside it.
+    rng = random.Random(15)
+    alphabet = ["\n", "\r", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "1", "7", "#", "a"]
+    path = tmp_path / "lines.txt"
+    for _ in range(2000):
+        text = "".join(rng.choices(alphabet, k=rng.randrange(24)))
+        path.write_text(text, encoding="utf-8", newline="")
+        read = path.read_text(encoding="utf-8")  # "\r\n" and "\r" read as "\n"
+        assert list(cli._lines(path)) == list(filter(None, map(str.strip, read.split("\n"))))
 
 
 def test_closed_form_mismatch_exits_2(capsys, monkeypatch):

@@ -32,7 +32,7 @@ from diagbench.errors import (
     RowTooShort,
 )
 
-from helpers import B4_ROWS, naive_scan
+from helpers import B4_ROWS, has_random_tail, naive_scan
 
 STREAM3 = EPS.constant(10, 3)
 
@@ -279,6 +279,19 @@ def test_explicit_arrays_are_capped_as_their_rows_arrive():
         ArraySpec.explicit(["0" * (EXPLICIT_CELL_CAP + 1)])
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("123", "^explicit rows must all have equal length$"),
+    ("1a", "^row '1a' contains a non-digit$"),
+])
+def test_a_bad_row_is_refused_before_the_next_is_read(bad, message):
+    # A bad row ahead of more rows than SCAN_CAP is refused as it arrives,
+    # not after the row cap would have read the rest.
+    rows = iter(["12", bad] + ["12"] * SCAN_CAP)
+    with pytest.raises(DomainError, match=message):
+        ArraySpec.explicit(rows)
+    assert operator.length_hint(rows) == SCAN_CAP
+
+
 def test_explicit_radix_follows_the_digits():
     assert ArraySpec.explicit(B4_ROWS).radix == 2
     assert ArraySpec.explicit(["0101", "1102"]).radix == 10
@@ -346,7 +359,7 @@ def test_scan_matches_direct_digit_walk(kind):
     else:
         # same leading digits as string 7, all-zero guess for the random tail
         candidates.append(EPS(2, string7, (0,)))
-    window = depth if sp.has_random_tail else depth + 16
+    window = depth if has_random_tail(sp) else depth + 16
     for cand in candidates:
         report = membership_scan(sp, cand, depth=depth)
         found, diffs = naive_scan(
@@ -377,12 +390,12 @@ def test_closed_form_scan_matches_the_naive_scan_at_depth_2000(kind, randomize):
             report = membership_scan(sp, cand, depth, window)
             # Deterministic strings are compared as infinite sequences,
             # random tails on the window only.
-            oracle_window = window if sp.has_random_tail else window + 16
+            oracle_window = window if has_random_tail(sp) else window + 16
             found, diffs = naive_scan(
                 lambda n, j: row_digit(sp, n, j), cand.digit_at, depth, oracle_window
             )
             assert (report.found_at, report.first_difference) == (found, diffs)
-        if sp.has_random_tail:  # report is the past-window candidate's
+        if has_random_tail(sp):  # report is the past-window candidate's
             assert report.found_at == m
         else:
             assert report.found_at is None and report.first_difference[m] == window + 5

@@ -193,13 +193,13 @@ def test_properties_and_classmethods():
     spec = ArraySpec.family(Family.ALT_24, seed=3)
     assert spec == ArraySpec(kind=Family.ALT_24, seed=3)
     before = hash(spec)
-    assert spec.is_family and not spec.has_random_tail and spec.radix == 2
+    assert spec.is_family and spec.radix == 2
     # The cached radix is no field: equality, hash and repr ignore it.
     assert spec == ArraySpec(kind=Family.ALT_24, seed=3) and hash(spec) == before
     assert "radix" not in repr(spec)
     explicit = ArraySpec.explicit(["01", "19"])
     assert explicit.rows == ("01", "19") and explicit.radix == 10
-    assert not explicit.is_family and not explicit.has_random_tail
+    assert not explicit.is_family
 
 
 def test_finite_subset_validation():
