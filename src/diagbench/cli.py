@@ -161,17 +161,6 @@ def _lines(path):
     return filter(None, map(str.strip, re.sub("\n\n+", "\n", text).split("\n")))
 
 
-def _parse_candidate(text, spec):
-    from . import diagonal, eps
-    if text is None:
-        if spec.is_family:
-            return diagonal.antidiagonal_rule(spec)
-        return diagonal.explicit_antidiagonal(spec)
-    if "(" in text:
-        return eps.EventuallyPeriodicString.parse(text, spec.radix)
-    return text
-
-
 def _cmd_diagonal(args):
     from . import diagonal, eps
     anti = None
@@ -193,7 +182,9 @@ def _cmd_diagonal(args):
         raise CapExceeded(
             f"csv dump of {args.depth} x {width} cells above cap {CSV_CELL_CAP}"
         )
-    candidate = _parse_candidate(args.candidate, spec)
+    candidate = args.candidate
+    if candidate is not None and "(" in candidate:
+        candidate = eps.EventuallyPeriodicString.parse(candidate, spec.radix)
     report = diagonal.membership_scan(spec, candidate, args.depth, args.prefix)
     if args.format == "csv":
         if spec.is_family:

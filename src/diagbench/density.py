@@ -118,31 +118,28 @@ class PhiFormula(Enum):
     COMPLEX = "complex"
 
 
+# Closed forms of the count formulas; rat-exact's counts come from totient_sums.
+_CLOSED_FORMS = {
+    PhiFormula.NAT: Fraction,
+    PhiFormula.EVEN: lambda n: Fraction(n, 2),
+    PhiFormula.INT: lambda n: Fraction(2 * n + 1),
+    # (n^2 - n)/2 candidate fractions, discounted by the constant 63/100,
+    # mirrored to negatives (2n per unit line) plus one for zero
+    PhiFormula.RAT_PAPER: lambda n: 2 * n * (Fraction((n * n - n) // 2) * Fraction(63, 100)) + 1,
+    PhiFormula.REAL: lambda n: Fraction(n * 2 ** (n + 1)),
+    PhiFormula.COMPLEX: lambda n: Fraction(n * n * 2 ** (2 * n + 2)),
+}
+
+
 def phi_eval(formula: PhiFormula, n: int) -> Fraction:
     """Count of set members reached by step n, per the formula's closed form."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if formula is PhiFormula.NAT:
-        return Fraction(n)
-    if formula is PhiFormula.EVEN:
-        return Fraction(n, 2)
-    if formula is PhiFormula.INT:
-        return Fraction(2 * n + 1)
-    if formula is PhiFormula.RAT_PAPER:
-        # (n^2 - n)/2 candidate fractions, discounted by the constant 63/100,
-        # mirrored to negatives (2n per unit line) plus one for zero
-        return 2 * n * (Fraction((n * n - n) // 2) * Fraction(63, 100)) + 1
-    if formula is PhiFormula.RAT_EXACT:
-        return _phi_series(formula, (n,))[0]
-    if formula is PhiFormula.REAL:
-        return Fraction(n * 2 ** (n + 1))
-    if formula is PhiFormula.COMPLEX:
-        return Fraction(n * n * 2 ** (2 * n + 2))
-    raise DomainError(f"unknown formula {formula!r}")
+    return _phi_series(formula, (n,))[0]
 
 
 def _phi_series(formula: PhiFormula, schedule) -> list:
-    """phi_eval at each point of a schedule of naturals >= 1.
+    """The formula's count at each point of a schedule of naturals >= 1.
 
     rat-exact takes every count, Phi(n) - 1 lowest-terms fractions below 1,
     from one summatory-totient call over the whole schedule.
@@ -150,7 +147,9 @@ def _phi_series(formula: PhiFormula, schedule) -> list:
     if formula is PhiFormula.RAT_EXACT:
         totals = totient_sums(schedule)
         return [Fraction(2 * n * (totals[n] - 1) + 1) for n in schedule]
-    return [phi_eval(formula, n) for n in schedule]
+    if not isinstance(formula, PhiFormula):  # an unhashable would raise TypeError in a lookup
+        raise DomainError(f"unknown formula {formula!r}")
+    return list(map(_CLOSED_FORMS[formula], schedule))
 
 
 def rho_finite(a: PhiFormula, b: PhiFormula, n: int) -> Fraction:

@@ -221,13 +221,6 @@ def antidiagonal_rule(spec: ArraySpec) -> EventuallyPeriodicString:
     return _rule(spec)[0]
 
 
-def explicit_antidiagonal(spec: ArraySpec) -> str:
-    """Flipped diagonal of an explicit array's leading square, by its radix."""
-    square = min(len(spec.rows), len(spec.rows[0]))
-    policy = FlipPolicy.BINARY if spec.radix == 2 else FlipPolicy.DECIMAL
-    return antidiagonal_finite(spec.rows[:square], policy)
-
-
 def row_digit(spec: ArraySpec, n: int, j: int) -> int:
     """Digit j (1-based) of string n; constant time for every family."""
     if n < 1 or j < 1:
@@ -267,7 +260,8 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
 
 
 def membership_scan(spec, candidate, depth: int, prefix_len: int | None = None) -> DiagonalReport:
-    """Scan strings 1..depth for the candidate.
+    """Scan strings 1..depth for the candidate; None scans for the array's
+    own antidiagonal.
 
     found_at is the first string that agrees with the candidate on the whole
     comparison window (and, for deterministic families, as an exact infinite
@@ -290,11 +284,13 @@ def _scan_family(spec, candidate, depth, prefix_len):
         prefix_len = depth
     if prefix_len < depth:
         raise DomainError("prefix length must be at least the scan depth")
+    anti, tail = _rule(spec)
+    if candidate is None:
+        candidate = anti
     if not isinstance(candidate, EventuallyPeriodicString):
         raise DomainError("family scans need an eventually periodic candidate")
     if candidate.radix != spec.radix:
         raise DomainError("candidate radix does not match the array")
-    anti, tail = _rule(spec)
     # String n agrees with the antidiagonal on 1..n-1 and differs from it at n.
     # So if the candidate first leaves the antidiagonal at m, string n first
     # differs from the candidate at n below m and at m above it, and only
@@ -326,6 +322,14 @@ def _scan_family(spec, candidate, depth, prefix_len):
 
 def _scan_explicit(spec, candidate, depth):
     width = len(spec.rows[0])
+    square = min(len(spec.rows), width)
+    policy = FlipPolicy.BINARY if spec.radix == 2 else FlipPolicy.DECIMAL
+    anti = antidiagonal_finite(spec.rows[:square], policy)
+    if candidate is None:
+        if square < width:
+            raise DomainError(f"explicit array of {square} rows of length {width} "
+                              "has no full antidiagonal; give a candidate")
+        candidate = anti
     if isinstance(candidate, EventuallyPeriodicString):
         if candidate.radix != spec.radix:
             raise DomainError("candidate radix does not match the array")
@@ -346,7 +350,6 @@ def _scan_explicit(spec, candidate, depth):
             found = n
             break
         diffs[n] = j
-    anti = explicit_antidiagonal(spec)
     return DiagonalReport(
         antidiagonal=anti,
         cover=Fraction(len(anti), len(spec.rows)),

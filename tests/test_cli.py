@@ -554,7 +554,7 @@ def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys, monkeypatch)
 # --- exit codes -----------------------------------------------------------------
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "diagonal", "--family", "lower-tri-22", "--depth", "0")
     assert code == 2
     assert err.startswith("error: DomainError:")
@@ -578,6 +578,13 @@ def test_domain_errors_exit_2(capsys):
 
     code, _, err = run(capsys, "diagonal", "--explicit", "/no/such/file")
     assert code == 2
+
+    wide = tmp_path / "wide.txt"
+    wide.write_text("0110\n1011\n", encoding="utf-8")
+    code, out, err = run(capsys, "diagonal", "--explicit", str(wide))
+    assert code == 2 and out == ""
+    assert err == ("error: DomainError: explicit array of 2 rows of length 4 "
+                   "has no full antidiagonal; give a candidate\n")
 
     code, out, err = run(capsys, "subsets", "table1", "--n", "40", "--labels", "n/2-\u0663")
     assert code == 2 and out == ""

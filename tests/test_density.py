@@ -132,6 +132,9 @@ def test_formula_golden_values():
     assert phi_eval(PhiFormula.COMPLEX, 3) == 2304
     with pytest.raises(DomainError):
         phi_eval(PhiFormula.NAT, 0)
+    for formula in ("nat", ["nat"]):  # a value and an unhashable are no formula
+        with pytest.raises(DomainError, match="unknown formula"):
+            phi_eval(formula, 5)
 
 
 def test_constant_discount_stays_close_to_the_exact_count():

@@ -306,6 +306,7 @@ def test_explicit_radix_follows_the_digits():
 def test_explicit_scan_finds_the_antidiagonal_late():
     b4 = ArraySpec.explicit(B4_ROWS)
     report = membership_scan(b4, "1111", depth=16)
+    assert membership_scan(b4, None, depth=16) == report
     assert report.found_at == 16
     assert report.antidiagonal == "1111"
     assert report.cover == Fraction(1, 4)
@@ -405,6 +406,7 @@ def test_scan_of_the_antidiagonal_never_finds_it():
     for kind in Family:
         sp = spec_for(kind)
         report = membership_scan(sp, antidiagonal_rule(sp), depth=300)
+        assert membership_scan(sp, None, depth=300) == report
         assert report.found_at is None
         assert report.scan_depth == 300
         assert report.cover == 1
@@ -444,3 +446,7 @@ def test_scan_argument_errors():
         membership_scan(b4, "1\u0661\u00b91", depth=4)  # Arabic-Indic 1, superscript 1
     with pytest.raises(DomainError, match="candidate radix does not match"):
         membership_scan(b4, STREAM3, depth=4)
+    wide = ArraySpec.explicit(["0110", "1011"])
+    with pytest.raises(DomainError, match="2 rows of length 4 has no full antidiagonal"):
+        membership_scan(wide, None, depth=2)
+    assert membership_scan(wide, "1011", depth=2).found_at == 2
