@@ -5,8 +5,9 @@ fractions.Fraction.  Finite p-subsets are ordered colexicographically, which
 gives a closed-form rank/unrank bijection with the naturals for each p; unrank
 steps down between neighbouring binomials instead of searching for each digit.
 A stage-based dovetailing sweep enumerates all finite subsets without repeats:
-it keeps one current p-subset per cardinality and steps each to its colex
-successor once per stage, so it never unranks.
+it keeps one current p-subset per cardinality, with the index of it to grow
+next (Algorithm T's pointer), and steps each to its colex successor once per
+stage, so it never unranks.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import (
 from .record import Record
 
 # The first K subsets hold about (2K)^1.5 / 6 elements; the CLI writes them in
-# either format within 10 s and 1 GB.  On 2 CPUs, as --output children: CSV 2.3 s,
-# JSON 2.2 s, 0.12 GB each at this cap; about 6.4 s and 0.32 GB each at 10**5.
+# either format within 10 s and 1 GB.  On 2 CPUs, as --output children: CSV 1.3 s,
+# JSON 1.6 s, 0.12 GB each at this cap; at 10**5 about 4 s and 0.30 GB each, past
+# the 256 MB that tests/test_acceptance.py allows the JSON child.
 DOVETAIL_CAP = 5 * 10**4
 FIGURE1_CAP = 2**10
 # Ranks at or above this do not print under Python's default limit of 4300
@@ -48,16 +50,23 @@ class FiniteSubset(Record):
     __slots__ = _fields = ("elements",)
 
     def __init__(self, elements: tuple = ()):
-        # Its own init, not Record's field loop: dovetail_enumerate builds one per item.
         elems = tuple(elements)
-        # Ints strictly increasing from -1, in two C-level passes; the loop names a fault.
-        if not (all(map(isinstance, elems, itertools.repeat(int)))
+        # Exact ints (no bool) strictly increasing from -1, in two C-level passes; the
+        # loop names a fault.
+        if not (set(map(type, elems)) <= {int}
                 and not any(map(operator.ge, (-1, *elems), elems))):
             for e in elems:
-                if not isinstance(e, int) or e < 0:
+                if type(e) is not int or e < 0:
                     raise DomainError(f"element {e!r} is not a natural number")
             raise DomainError("elements must be strictly increasing")
         object.__setattr__(self, "elements", elems)
+
+    @classmethod
+    def _of(cls, elems: tuple):
+        # Trusted: only for a tuple that this module made strictly increasing naturals.
+        s = object.__new__(cls)
+        object.__setattr__(s, "elements", elems)
+        return s
 
     def __len__(self):
         return len(self.elements)
@@ -249,7 +258,7 @@ def unrank(p: int, r: int) -> FiniteSubset:
             steps += 1
         rem -= value
         elems.append(c)
-    return FiniteSubset(tuple(reversed(elems)))
+    return FiniteSubset._of(tuple(reversed(elems)))
 
 
 def extend_subsets(level, bound: int):
@@ -260,7 +269,7 @@ def extend_subsets(level, bound: int):
         if top >= bound:
             raise BoundTooSmall(f"subset {s!r} already has an element >= {bound}")
         for i in range(top + 1, bound):
-            out.append(FiniteSubset(s.elements + (i,)))
+            out.append(FiniteSubset._of(s.elements + (i,)))
     return out
 
 
@@ -270,31 +279,41 @@ def dovetail_enumerate(count: int):
     Stage t emits the rank-(t-p) p-subset for p = 1..t, after stage 0 emits
     the empty set; every finite subset appears exactly once.  For each p the
     rank grows by one per stage, so one current p-subset is kept and stepped
-    to its colexicographic successor (Knuth, TAOCP 4A, 7.2.1.3).
+    to its colexicographic successor, with the index to grow next kept beside
+    it as in Algorithm T (Knuth, TAOCP 4A, 7.2.1.3).
+
+    >>> [s.elements for s in dovetail_enumerate(7)]
+    [(), (0,), (1,), (0, 1), (2,), (0, 2), (0, 1, 2)]
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > DOVETAIL_CAP:
         raise CapExceeded(f"count {count} above cap {DOVETAIL_CAP}")
-    out = [FiniteSubset()] if count else []
+    of = FiniteSubset._of
+    out = [of(())] if count else []
     current = []  # current[p - 1] is the p-subset emitted in the last stage
+    grow = []  # grow[p - 1] is the index of it that grows next, or -1 to scan for it
     t = 0
     while len(out) < count:
         t += 1
-        for c in current:
-            # The lowest element that can grow without meeting the next one
-            # (the top one always can) grows by one; those below restart at 0.
-            i = 0
-            last = len(c) - 1
-            while i < last and c[i] + 1 == c[i + 1]:
-                i += 1
+        for p, c in enumerate(current):
+            # The lowest element that can grow without meeting the next one (the
+            # top one always can) grows by one.  After c[i] grows, c[:i] is 0..i-1,
+            # so c[i - 1] grows next; only after c[0] grows is the run scanned.
+            i = grow[p]
+            if i < 0:
+                i = 0
+                while i < p and c[i] + 1 == c[i + 1]:
+                    i += 1
+                c[:i] = range(i)
             c[i] += 1
-            c[:i] = range(i)
-            out.append(FiniteSubset(tuple(c)))
+            grow[p] = i - 1
+            out.append(of(tuple(c)))
             if len(out) == count:
                 return out
         current.append(list(range(t)))
-        out.append(FiniteSubset(tuple(current[-1])))
+        grow.append(t - 1)
+        out.append(of(tuple(current[-1])))
     return out
 
 
@@ -310,7 +329,7 @@ def decode_subset(m: int) -> FiniteSubset:
     if m < 0:
         raise DomainError("code must be nonnegative")
     bits = bin(m)[:1:-1]  # bit i of m is bits[i]
-    return FiniteSubset(tuple(itertools.compress(itertools.count(), map("1".__eq__, bits))))
+    return FiniteSubset._of(tuple(itertools.compress(itertools.count(), map("1".__eq__, bits))))
 
 
 def complement(s: FiniteSubset) -> CofiniteSubset:

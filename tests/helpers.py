@@ -6,7 +6,8 @@ that bisects for every element, recursive path enumeration, a breadth-first
 closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
 a first difference found digit by digit over an lcm window, a bitmask's
-bits read byte by byte and summed back one shift at a time.  The point is
+bits read byte by byte and summed back one shift at a time, a dovetail whose
+colex successor scans for the element to grow at every step.  The point is
 that none of it shares code with the package; `has_random_tail`, a test's
 question about a spec and no oracle, reads the package's family rule table.
 """
@@ -36,6 +37,28 @@ def pascal_row(n):
 def colex_rank(elements):
     """Colexicographic rank of a strictly increasing tuple: sum of C(c_i, i)."""
     return sum(math.comb(c, i) for i, c in enumerate(elements, start=1))
+
+
+def scan_dovetail(count):
+    """The first `count` subsets in stage order, as element tuples.
+
+    Each stage steps every p-subset to its colex successor by scanning its
+    lowest run of consecutive elements afresh, with no pointer kept.
+    """
+    out, current, t = [()], [], 0
+    while len(out) < count:
+        t += 1
+        for p, c in enumerate(current):
+            c = list(c)
+            i = 0
+            while i < p and c[i] + 1 == c[i + 1]:
+                i += 1
+            c[i] += 1
+            c[:i] = range(i)
+            current[p] = tuple(c)
+        current.append(tuple(range(t)))
+        out += current
+    return out[:count]
 
 
 def greedy_unrank(p, r):

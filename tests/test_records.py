@@ -214,6 +214,8 @@ def test_finite_subset_validation():
         ((2, 1, -1), "element -1 is not a natural number"),
         ((1, "a"), "element 'a' is not a natural number"),
         ((2.0,), "element 2.0 is not a natural number"),
+        ((False, True), "element False is not a natural number"),
+        ((True,), "element True is not a natural number"),
         ((2, 1), "elements must be strictly increasing"),
         ((1, 1), "elements must be strictly increasing"),
     ]:

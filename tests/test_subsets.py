@@ -39,7 +39,14 @@ from diagbench.subsets import (
     verify_ratio_law,
 )
 
-from helpers import bytewise_bits, colex_rank, greedy_unrank, pascal_row, shift_sum
+from helpers import (
+    bytewise_bits,
+    colex_rank,
+    greedy_unrank,
+    pascal_row,
+    scan_dovetail,
+    shift_sum,
+)
 
 
 # --- binomials and ratios ----------------------------------------------
@@ -381,6 +388,24 @@ def test_dovetail_steps_through_colex_ranks_stage_by_stage():
         assert len(elems) == p and all(a < b for a, b in zip(elems, elems[1:]))
         assert colex_rank(elems) == t - p
         t, p = (t + 1, 1) if p == t else (t, p + 1)
+
+
+def test_dovetail_matches_a_scan_only_successor():
+    # 20,000 items reach stage 200: every kind of step, the top growing, the
+    # kept index growing and a scan after the lowest element grew, occurs.
+    for n in (0, 1, 2, 3, 20000):
+        assert [s.elements for s in dovetail_enumerate(n)] == scan_dovetail(n)
+
+
+def test_trusted_construction_matches_the_public_constructor():
+    rng = random.Random(17)
+    made = [unrank(rng.randint(1, 60), rng.getrandbits(rng.randint(0, 200))) for _ in range(300)]
+    made += [decode_subset(rng.getrandbits(rng.randint(0, 300))) for _ in range(300)]
+    level = [FiniteSubset(tuple(sorted(rng.sample(range(40), rng.randint(0, 8)))))
+             for _ in range(30)]
+    made += extend_subsets(level, 50)
+    for s in made:
+        assert s == FiniteSubset(s.elements) and type(s.elements) is tuple
 
 
 # --- bitmask coding ------------------------------------------------------
