@@ -20,6 +20,12 @@ from .errors import BadSchedule, CapExceeded, DomainError
 from .record import Record
 
 SIEVE_CAP = 10**7
+# totient_sums' work, counted as icbrt(n)**2 per distinct point above its sieve.
+# The kernel runs about 2.4e6 units/s on 2 CPUs; at this cap 108 points spaced
+# 217 apart below 10**7 took 2.2 s (rat-exact/nat) and 4.2 s (rat-exact/rat-exact,
+# two kernel calls) at 24 MB as CLI children.
+WORK_CAP = 5 * 10**6
+# The n-by-n grid holds n**2 cells; `density grid --n 100` takes about 0.09 s.
 GRID_CAP = 100
 CONVERGE_TOL = Fraction(1, 100)
 ZERO_FLOOR = Fraction(1, 10**6)
@@ -69,12 +75,18 @@ def totient_sums(ns) -> dict:
     below that bound by prefix sums.  Above it, grouping the n(n+1)/2 pairs
     1 <= a <= b <= n by d = gcd(a, b) gives
     Phi(n) = n(n+1)/2 - sum over d >= 2 of Phi(n // d), summed over blocks of
-    d that share one quotient and memoized, for O(top^(2/3)) work in all.
+    d that share one quotient and memoized, for O(n^(2/3)) work per distinct n
+    above the sieve: the memo shares little between points.  A schedule whose
+    summed work passes WORK_CAP is refused before the sieve.
     """
     ns = tuple(ns)
     for n in ns:
         _check_sieve_bound(n)
-    small = list(itertools.accumulate(totient_sieve(_icbrt(max(ns, default=1)) ** 2)))
+    bound = _icbrt(max(ns, default=1)) ** 2
+    work = sum(_icbrt(n) ** 2 for n in set(ns) if n > bound)
+    if work > WORK_CAP:
+        raise CapExceeded(f"summatory-totient work {work} above cap {WORK_CAP}")
+    small = list(itertools.accumulate(totient_sieve(bound)))
     limit = len(small)
     memo = {}
 

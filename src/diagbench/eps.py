@@ -8,8 +8,10 @@ underlying infinite sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from operator import ne
 
 from .errors import BadRadix, DomainError
 from .record import Record
@@ -100,9 +102,8 @@ class EventuallyPeriodicString(Record):
         """
         p, q = len(self.period), len(other.period)
         window = max(len(self.preperiod), len(other.preperiod)) + p + q - math.gcd(p, q)
-        a, b = (int.from_bytes(s.prefix(window).encode(), "big") for s in (self, other))
-        # The highest set bit of a ^ b lies in the first digit (byte) that differs.
-        return window - ((a ^ b).bit_length() - 1) // 8 if a != b else None
+        pairs = map(ne, self.prefix(window), other.prefix(window))
+        return next(itertools.compress(itertools.count(1), pairs), None)
 
     def __repr__(self):
         return f"EventuallyPeriodicString({self.radix}, {self.render()!r})"

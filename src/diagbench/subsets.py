@@ -51,13 +51,10 @@ class FiniteSubset(Record):
 
     def __init__(self, elements: tuple = ()):
         elems = tuple(elements)
-        # Exact ints (no bool) strictly increasing from -1, in two C-level passes; the
-        # loop names a fault.
-        if not (set(map(type, elems)) <= {int}
-                and not any(map(operator.ge, (-1, *elems), elems))):
-            for e in elems:
-                if type(e) is not int or e < 0:
-                    raise DomainError(f"element {e!r} is not a natural number")
+        for e in elems:
+            if type(e) is not int or e < 0:  # exact ints: no bool
+                raise DomainError(f"element {e!r} is not a natural number")
+        if any(map(operator.ge, elems, elems[1:])):
             raise DomainError("elements must be strictly increasing")
         object.__setattr__(self, "elements", elems)
 

@@ -7,9 +7,11 @@ closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
 a first difference found digit by digit over an lcm window, a bitmask's
 bits read byte by byte and summed back one shift at a time, a dovetail whose
-colex successor scans for the element to grow at every step.  The point is
-that none of it shares code with the package; `has_random_tail`, a test's
-question about a spec and no oracle, reads the package's family rule table.
+colex successor scans for the element to grow at every step, and the
+summatory-totient kernel's work counted from float cube roots corrected by
+stepping.  The point is that none of it shares code with the package;
+`has_random_tail`, a test's question about a spec and no oracle, reads the
+package's family rule table.
 """
 
 import math
@@ -120,6 +122,21 @@ def shift_sum(elements):
 
 def totient_oracle(k):
     return sum(1 for a in range(1, k + 1) if math.gcd(a, k) == 1)
+
+
+def kernel_work(ns):
+    """The summatory-totient kernel's work: icbrt(n)**2 for each distinct n
+    above its sieve, which reaches icbrt(max(ns))**2."""
+    def icbrt(n):
+        r = round(n ** (1 / 3))
+        while r**3 > n:
+            r -= 1
+        while (r + 1) ** 3 <= n:
+            r += 1
+        return r
+
+    bound = icbrt(max(ns)) ** 2
+    return sum(icbrt(n) ** 2 for n in set(ns) if n > bound)
 
 
 def has_random_tail(spec):

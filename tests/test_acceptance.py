@@ -30,6 +30,8 @@ from diagbench.chains import (
 from diagbench.cli import CSV_CELL_CAP, FILE_CAP, SCRIPT_CAP, main
 from diagbench.density import (
     EXPONENTIAL_CAP,
+    GRID_CAP,
+    WORK_CAP,
     PhiFormula,
     correction_factor,
     default_schedule,
@@ -77,6 +79,7 @@ from helpers import (
     bytewise_bits,
     chain_edges,
     colex_rank,
+    kernel_work,
     random_chain_text,
     reachable_by_paths,
 )
@@ -334,6 +337,22 @@ def test_figure2_reaches_the_sieve_cap():
     budget.check()
 
 
+def test_an_over_cap_rat_exact_schedule_exits_2_before_the_kernel(capsys):
+    # 14,000 points in 9e6..1e7, a 112 KB argument.  Before WORK_CAP this ran for
+    # 209 s at 76 MB as a CLI child on a 2-vCPU VM, and exited 0.
+    rng = random.Random(20231019)
+    schedule = sorted(rng.sample(range(9 * 10**6, 10**7 + 1), 14000))
+    argv = ["density", "rho", "--a", "rat-exact", "--b", "nat",
+            "--schedule", ",".join(map(str, schedule))]
+    budget = Budget(1)
+    code = main(argv)
+    budget.check()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: CapExceeded: summatory-totient work {kernel_work(schedule)} "
+                   f"above cap {WORK_CAP}\n")
+
+
 def test_unrank_and_exponential_ratios_reach_their_caps(tmp_path):
     # unrank at both caps: a few ms on a 2-vCPU VM.
     budget = Budget(5)
@@ -413,6 +432,50 @@ def _child(*args, code=0, err=None):
 def _cli_child(*args, **expect):
     """Run the CLI as a child, checked as _child checks it: (wall seconds, peak RSS MB)."""
     return _child("-m", "diagbench", *args, **expect)
+
+
+def test_the_costliest_rat_exact_schedules_fit_the_budget(tmp_path):
+    top = 10**7  # SIEVE_CAP; the kernel sieves up to 215**2 for it
+    # Points 217 apart share no quotient n // d above the sieve, so each costs
+    # its full 215**2 units.  With the kernel run once per formula: about 4.2 s
+    # and 24 MB as a child on 2 CPUs.
+    spread = [top - 217 * k for k in range(WORK_CAP // 215**2)][::-1]
+    # The most points just above the sieve that fit, and the top: about 0.3 s.
+    low = [*range(215**2 + 1, 215**2 + 3846), top]
+    assert kernel_work([*low, 215**2 + 3846]) > WORK_CAP
+    out = tmp_path / "rho.csv"
+    for schedule, b in ((spread, "rat-exact"), (low, "nat")):
+        assert kernel_work(schedule) <= WORK_CAP
+        wall, peak_mb = _cli_child("density", "rho", "--a", "rat-exact", "--b", b,
+                                   "--schedule", ",".join(map(str, schedule)),
+                                   "--format", "csv", "--output", out)
+        assert wall < 10, f"{len(schedule)} points took {wall:.2f}s, budget 10s"
+        assert peak_mb < 1024, f"{len(schedule)} points: peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(schedule) + 1
+    assert lines[1].startswith(f"{215**2 + 1},")
+    # OEIS A064018: phi(1) + ... + phi(10^7) = 30396356427242
+    n, num, den, _ = lines[-1].split(",")
+    assert n == str(top)
+    assert Fraction(int(num), int(den)) == Fraction(2 * top * (30396356427242 - 1) + 1, top)
+
+
+def test_the_grid_at_its_cap_fits_the_budget(tmp_path):
+    # GRID_CAP**2 cells: about 0.09 s and 18 MB as a child on 2 CPUs, either format.
+    bold = sum(1 for b in range(2, GRID_CAP + 1) for a in range(1, b) if math.gcd(a, b) == 1)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"grid.{fmt}"
+        wall, peak_mb = _cli_child("density", "grid", "--n", GRID_CAP, "--format", fmt,
+                                   "--output", out)
+        assert wall < 2, f"{fmt} took {wall:.2f}s, budget 2s"
+        assert peak_mb < 64, f"{fmt} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+        text = out.read_text(encoding="utf-8")
+        if fmt == "csv":
+            cells = [row.split(",") for row in text.splitlines()[1:]]
+            assert len(cells) == GRID_CAP**2
+            assert sum(int(a) < int(b) and low == "true" for a, b, _, low in cells) == bold
+        else:
+            assert text.startswith(f'{{\n  "n": {GRID_CAP},\n  "bold_count": {bold},\n')
 
 
 def test_a_chain_at_its_cap_fits_the_budget(tmp_path):

@@ -896,13 +896,6 @@ def watched_after(code):
 
 def test_importing_the_cli_stays_light():
     assert watched_after("import diagbench.cli") == "[]\n"
-    # The package serves EventuallyPeriodicString on first use, loading eps then.
-    assert watched_after(
-        "import diagbench.cli, diagbench\n"
-        "from diagbench import *\n"
-        "assert EventuallyPeriodicString is diagbench.eps.EventuallyPeriodicString\n"
-        "assert EventuallyPeriodicString.parse('1(0)', 2).render() == '1(0)'"
-    ) == "['diagbench.eps']\n"
 
 
 @pytest.mark.parametrize("argv,loaded", [

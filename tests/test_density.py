@@ -9,7 +9,9 @@ from diagbench.density import (
     DEFAULT_FIGURE2_SCHEDULE,
     EXPONENTIAL_CAP,
     EXPONENTIAL_SCHEDULE,
+    GRID_CAP,
     POLYNOMIAL_SCHEDULE,
+    WORK_CAP,
     PhiFormula,
     correction_factor,
     decimal_str,
@@ -25,7 +27,7 @@ from diagbench.density import (
 )
 from diagbench.errors import BadSchedule, CapExceeded, DomainError
 
-from helpers import totient_oracle
+from helpers import kernel_work, totient_oracle
 
 
 # --- totients and the correction factor ---------------------------------
@@ -101,6 +103,43 @@ def test_kernel_caps_match_the_sieve():
         distinct_fraction_count(10**7 + 1)
     with pytest.raises(CapExceeded, match="sieve bound 10000001 outside"):
         phi_eval(PhiFormula.RAT_EXACT, 10**7 + 1)
+
+
+def test_kernel_refuses_a_schedule_one_unit_over_its_work_cap(monkeypatch):
+    from diagbench import density
+
+    # Pairs (n - 1, n) above the sieve of the top point, 10**5, which ends at
+    # 46**2 = 2116, and two points that the sieve holds, one at its end.
+    ns = (1000, 2116, 20000, 20001, 54320, 54321, 99998, 99999, 10**5)
+    work = kernel_work(ns)
+    assert work == 27**2 * 2 + 37**2 * 2 + 46**2 * 3
+    monkeypatch.setattr(density, "WORK_CAP", work - 1)
+    with pytest.raises(CapExceeded, match=f"^summatory-totient work {work} above cap {work - 1}$"):
+        totient_sums(ns)
+    monkeypatch.setattr(density, "WORK_CAP", work)
+    totals = totient_sums(ns)
+    for n in (20001, 54321, 99999, 10**5):
+        assert totals[n] - totals[n - 1] == totient_oracle(n)
+    prefix = list(itertools.accumulate(totient_sieve(10**5)))
+    assert totals == {n: prefix[n] for n in ns}
+
+
+def test_kernel_work_cap_reaches_library_callers():
+    # 14,000 points in 9e6..1e7 would run for minutes.
+    rng = random.Random(20240)
+    schedule = sorted(rng.sample(range(9 * 10**6, 10**7 + 1), 14000))
+    work = kernel_work(schedule)
+    assert work > 100 * WORK_CAP
+    message = f"^summatory-totient work {work} above cap {WORK_CAP}$"
+    with pytest.raises(CapExceeded, match=message):
+        totient_sums(schedule)
+    with pytest.raises(CapExceeded, match=message):
+        figure2_data(schedule)
+    with pytest.raises(CapExceeded, match=message):
+        rho_limit(PhiFormula.NAT, PhiFormula.RAT_EXACT, schedule)
+    # The sieve bound is checked first, point by point.
+    with pytest.raises(CapExceeded, match="sieve bound 10000001 outside 1..10000000"):
+        totient_sums((*schedule, 10**7 + 1))
 
 
 def test_distinct_fraction_count():
@@ -251,6 +290,8 @@ def test_grid_bold_count_matches_the_sieve():
     assert len(g.cells) == 81
     for n in (2, 6, 30, 100):
         assert grid_6_4(n).bold_count == distinct_fraction_count(n)
+    # The a < b cells with gcd(a, b) = 1 in column b number phi(b).
+    assert grid_6_4(GRID_CAP).bold_count == sum(map(totient_oracle, range(2, GRID_CAP + 1)))
 
 
 def test_grid_cell_flags():

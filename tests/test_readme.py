@@ -11,7 +11,7 @@ import pytest
 
 from diagbench.chains import CHAIN_CAP
 from diagbench.cli import CSV_CELL_CAP, FILE_CAP, SCRIPT_CAP, main
-from diagbench.density import EXPONENTIAL_CAP
+from diagbench.density import EXPONENTIAL_CAP, GRID_CAP, SIEVE_CAP, WORK_CAP
 from diagbench.diagonal import EXPLICIT_CELL_CAP, SCAN_CAP, UNIVERSE_CAP
 from diagbench.subsets import (
     DOVETAIL_CAP,
@@ -55,6 +55,9 @@ STATED_CAPS = (
     ("a rank of at most {N} bits", UNRANK_BITS_CAP),
     ("`--count` is capped at {N}", DOVETAIL_CAP),
     ("every sample point is at most {N}", EXPONENTIAL_CAP),
+    ("sample point is at most {N} (`SIEVE_CAP`)", SIEVE_CAP),
+    ("at most {N} units in all", WORK_CAP),
+    ("`grid --n` is at most {N}", GRID_CAP),
     ("`CHAIN_CAP` = {N}", CHAIN_CAP),
     ("`SCRIPT_CAP` = {N}", SCRIPT_CAP),
     ("takes n up to {N} in binary", UNIVERSE_CAP[2]),
