@@ -220,7 +220,8 @@ def rho_limit(a: PhiFormula, b: PhiFormula, schedule) -> DensityEstimate:
             f"sample point {schedule[-1]} above cap {EXPONENTIAL_CAP} for {a.value}/{b.value}"
         )
     # Every formula is positive at n >= 1, so no denominator is 0.
-    nums, dens = _phi_series(a, schedule), _phi_series(b, schedule)
+    nums = _phi_series(a, schedule)
+    dens = nums if b is a else _phi_series(b, schedule)
     samples = tuple((n, x / y) for n, x, y in zip(schedule, nums, dens))
     values = [v for _, v in samples]
     return DensityEstimate(

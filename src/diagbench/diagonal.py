@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import ne
 
+from . import rng
 from .eps import EventuallyPeriodicString
 from .errors import (
     BadRadix,
@@ -28,7 +29,6 @@ from .errors import (
     RowTooShort,
 )
 from .record import Record
-from .rng import row_digits
 
 # Longest string per radix, each within 10 s and 1 GB: as children on 2 CPUs,
 # binary 23 takes 4.7 s and 0.72 GB, decimal 7 under 3 s and 0.70 GB (binary 24: 9.3 s, 1.4 GB).
@@ -151,7 +151,8 @@ class ArraySpec(Record):
         # Cached on the instance: an explicit array is scanned once, not per use.
         if self.is_family:
             return _rule(self)[0].radix
-        return 10 if any(r.strip("01") for r in self.rows) else 2
+        # Every row is ASCII digits, so deleting 0 and 1 leaves only non-binary ones.
+        return 10 if any(r.encode().translate(None, b"01") for r in self.rows) else 2
 
 
 class DiagonalReport(Record):  # holds a dict, and so unhashable
@@ -234,7 +235,7 @@ def row_digit(spec: ArraySpec, n: int, j: int) -> int:
         return anti.digit_at(j)
     if j == n:
         return _diagonal_digit(anti, n)
-    return int(row_digits(spec.seed, n, (j,), spec.radix)) if tail is None else tail
+    return rng.cell_value(spec.seed, n, j) % spec.radix if tail is None else tail
 
 
 def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
@@ -253,7 +254,7 @@ def row(spec: ArraySpec, n: int, prefix_len: int) -> str:
     if prefix_len < n:
         return anti.prefix(prefix_len)
     if tail is None:
-        rest = row_digits(spec.seed, n, range(n + 1, prefix_len + 1), spec.radix)
+        rest = rng.row_digits(spec.seed, n, range(n + 1, prefix_len + 1), spec.radix)
     else:
         rest = str(tail) * (prefix_len - n)
     return anti.prefix(n - 1) + str(_diagonal_digit(anti, n)) + rest

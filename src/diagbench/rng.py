@@ -4,11 +4,16 @@ Array families with random regions need a digit for cell (row, col) that is
 reproducible bit for bit on any platform, without generating the cells in any
 particular order.  Python's stdlib generators are stream-oriented, so this
 module derives each cell independently with the SplitMix64 finalizer (the
-published constants of Steele, Lea and Flood's generator).  The modulo step in
-row_digits has a bias of about 6/2**64 per digit, which is irrelevant here.
+published constants of Steele, Lea and Flood's generator).  cell_value makes
+five mix64 calls per cell; row_digits makes one, reading the seed-and-row hash
+and a shared table of column hashes.  Its modulo step has a bias of about
+6/2**64 per digit, which is irrelevant here.
 """
 
+import functools
+
 _MASK = (1 << 64) - 1
+_DIGITS = "0123456789"
 
 
 def mix64(x: int) -> int:
@@ -28,12 +33,17 @@ def cell_value(seed: int, row: int, col: int) -> int:
     return mix64(_row_hash(seed, row) ^ mix64(col))
 
 
-def row_digits(seed: int, row: int, cols, radix: int) -> str:
-    """cell_value(seed, row, col) % radix for each col, as one digit string.
+@functools.lru_cache(maxsize=1)  # one width's table, shared by the rows of a dump
+def _column_hashes(width: int) -> list:
+    return list(map(mix64, range(width)))
 
-    The seed and row are hashed once for the whole row, which leaves two
-    mix64 calls per cell instead of five.
+
+def row_digits(seed: int, row: int, cols: range, radix: int) -> str:
+    """cell_value(seed, row, col) % radix for each col of a step-1 range of
+    columns >= 0, as one digit string; radix is at most 10.
+
+    The seed and row are hashed once per row and each column once per width
+    (cols.stop), which leaves one mix64 call per cell.
     """
     h = _row_hash(seed, row)
-    return "".join(str(mix64(h ^ mix64(col)) % radix) for col in cols)
-
+    return "".join([_DIGITS[mix64(h ^ c) % radix] for c in _column_hashes(cols.stop)[cols.start:]])

@@ -7,11 +7,13 @@ closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
 a first difference found digit by digit over an lcm window, a bitmask's
 bits read byte by byte and summed back one shift at a time, a dovetail whose
-colex successor scans for the element to grow at every step, and the
+colex successor scans for the element to grow at every step, the
 summatory-totient kernel's work counted from float cube roots corrected by
-stepping.  The point is that none of it shares code with the package;
-`has_random_tail`, a test's question about a spec and no oracle, reads the
-package's family rule table.
+stepping, a random tail drawn one pinned cell hash at a time, and an array's
+radix by stripping each row.  The point is that none of it shares code with
+the package, apart from `random_row`'s one call per cell to the pinned
+`rng.cell_value`; `has_random_tail`, a test's question about a spec and no
+oracle, reads the package's family rule table.
 """
 
 import math
@@ -20,6 +22,7 @@ from collections import deque
 
 from diagbench import diagonal
 from diagbench.chains import Connective, TerminalKind
+from diagbench.rng import cell_value
 
 # The worked 16-string binary example, in its printed order (strings read
 # down the columns of the 4-line display).
@@ -137,6 +140,17 @@ def kernel_work(ns):
 
     bound = icbrt(max(ns)) ** 2
     return sum(icbrt(n) ** 2 for n in set(ns) if n > bound)
+
+
+def random_row(seed, n, width, radix):
+    """Digits n+1..width of string n of a random-tail family, one cell at a time."""
+    return "".join(str(cell_value(seed, n, j) % radix) for j in range(n + 1, width + 1))
+
+
+def stripped_radix(rows):
+    """An explicit array's radix: 10 if some row keeps a digit once 0s and 1s
+    are stripped from both of its ends, else 2."""
+    return 10 if any(r.strip("01") for r in rows) else 2
 
 
 def has_random_tail(spec):

@@ -81,6 +81,7 @@ from helpers import (
     colex_rank,
     kernel_work,
     random_chain_text,
+    random_row,
     reachable_by_paths,
 )
 
@@ -189,6 +190,19 @@ def test_family_csv_reaches_the_cell_cap(tmp_path):
     spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=5)
     for j in (2, 3, width // 2, width):
         assert digits[j - 1] == str(row_digit(spec, 1, j))
+
+
+def test_a_random_tail_read_cell_by_cell_fits_the_budget():
+    # row_digit hashes its one cell on its own, so a walk along a string stays
+    # linear in its length: about 0.3 s for these 10**5 cells on a 2-vCPU VM.
+    budget = Budget(5)
+    spec = ArraySpec.family(Family.RANDOM_BELOW_26, seed=5)
+    digits = []
+    for j in range(2, 10**5 + 1):
+        digits.append(str(row_digit(spec, 1, j)))
+        if j % 1000 == 0:  # a quadratic walk fails here, not hours later
+            budget.check()
+    assert "".join(digits) == random_row(5, 1, 10**5, 2)
 
 
 def test_binomial_suite():
@@ -437,8 +451,8 @@ def _cli_child(*args, **expect):
 def test_the_costliest_rat_exact_schedules_fit_the_budget(tmp_path):
     top = 10**7  # SIEVE_CAP; the kernel sieves up to 215**2 for it
     # Points 217 apart share no quotient n // d above the sieve, so each costs
-    # its full 215**2 units.  With the kernel run once per formula: about 4.2 s
-    # and 24 MB as a child on 2 CPUs.
+    # its full 215**2 units.  The kernel runs once for both formulas: about
+    # 2.2 s and 24 MB as a child on 2 CPUs.
     spread = [top - 217 * k for k in range(WORK_CAP // 215**2)][::-1]
     # The most points just above the sieve that fit, and the top: about 0.3 s.
     low = [*range(215**2 + 1, 215**2 + 3846), top]

@@ -210,6 +210,21 @@ def test_ratio_series_takes_every_exact_count_from_one_kernel_call(monkeypatch):
         assert est.samples == tuple((n, want(n)) for n in schedule)
 
 
+def test_a_formula_over_itself_runs_the_kernel_once(monkeypatch):
+    from diagbench import density
+
+    calls = []
+    kernel = density.totient_sums
+    monkeypatch.setattr(density, "totient_sums", lambda ns: calls.append(ns) or kernel(ns))
+    for f in PhiFormula:
+        calls.clear()
+        schedule = default_schedule(f, f)
+        est = rho_limit(f, f, schedule)
+        assert len(calls) == (f is PhiFormula.RAT_EXACT)
+        assert est.samples == tuple((n, Fraction(1)) for n in schedule)
+        assert (est.classification.kind, est.classification.limit) == ("converges", 1)
+
+
 def test_default_schedules():
     assert default_schedule(PhiFormula.EVEN, PhiFormula.NAT) == POLYNOMIAL_SCHEDULE
     assert default_schedule(PhiFormula.NAT, PhiFormula.REAL) == EXPONENTIAL_SCHEDULE

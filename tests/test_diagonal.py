@@ -1,9 +1,13 @@
 import itertools
 import operator
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagbench.diagonal import (
     EXPLICIT_CELL_CAP,
@@ -32,7 +36,7 @@ from diagbench.errors import (
     RowTooShort,
 )
 
-from helpers import B4_ROWS, has_random_tail, naive_scan
+from helpers import B4_ROWS, has_random_tail, naive_scan, random_row, stripped_radix
 
 STREAM3 = EPS.constant(10, 3)
 
@@ -220,6 +224,40 @@ def test_randomized_tail_leaves_the_leading_digits_alone():
         assert antidiagonal_rule(rnd) == STREAM3
 
 
+RANDOM_TAILS = [(Family.RANDOM_BELOW_26, False), (Family.DECIMAL_29, True)]
+
+
+def random_tail_dump(sp, width):
+    """The digits past the diagonal of strings 1..24 and around the width."""
+    ns = [*range(1, 25), width - 1, width, width + 1]
+    return [(n, row(sp, n, width)[n:]) for n in ns if n >= 1]
+
+
+@pytest.mark.parametrize("kind,randomize", RANDOM_TAILS)
+def test_random_tails_match_the_cell_oracle(kind, randomize):
+    # Interleaved widths: each change of width builds the column table again.
+    for seed in (0, 11):
+        sp = spec_for(kind, seed=seed, randomize=randomize)
+        for width in (300, 17, 300, 1, 1000):
+            for n, tail in random_tail_dump(sp, width):
+                assert tail == random_row(seed, n, width, sp.radix)
+
+
+@pytest.mark.parametrize("kind,randomize", RANDOM_TAILS)
+def test_random_tails_stay_exact_when_threads_race_for_the_column_table(kind, randomize):
+    sp = spec_for(kind, seed=4, randomize=randomize)
+    widths = (300, 17, 1000, 1, 64, 300, 513, 2) * 4
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often, inside table builds too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            dumps = list(pool.map(lambda w: random_tail_dump(sp, w), widths, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for width, dump in zip(widths, dumps):
+        assert dump == [(n, random_row(4, n, width, sp.radix)) for n, _ in dump]
+
+
 def test_view_index_errors():
     b4 = ArraySpec.explicit(B4_ROWS)
     with pytest.raises(NotAFamilyOrOutOfRange):
@@ -298,6 +336,27 @@ def test_explicit_radix_follows_the_digits():
     assert ArraySpec.explicit(["9"]).radix == 10
     assert spec_for(Family.DECIMAL_29).radix == 10
     assert spec_for(Family.ALT_24).radix == 2
+
+
+def equal_rows(digits):
+    return st.integers(1, 12).flatmap(lambda width: st.lists(
+        st.text(digits, min_size=width, max_size=width), min_size=1, max_size=12))
+
+
+def last_cell_set(rows_and_digit):
+    rows, digit = rows_and_digit
+    return rows[:-1] + [rows[-1][:-1] + digit]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    equal_rows("01"),
+    equal_rows("0123456789"),
+    # binary but for one digit, in the last cell of the last row
+    st.tuples(equal_rows("01"), st.sampled_from("23456789")).map(last_cell_set),
+))
+def test_explicit_radix_matches_the_stripped_rows(rows):
+    assert ArraySpec.explicit(rows).radix == stripped_radix(rows)
 
 
 # --- membership scans --------------------------------------------------

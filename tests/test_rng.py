@@ -16,8 +16,8 @@ def test_cell_values_are_pinned():
     for (seed, row, col), value in GOLDEN.items():
         assert cell_value(seed, row, col) == value
         # one random cell is a one-column row: the same pinned digits
-        assert row_digits(seed, row, (col,), 2) == str(value & 1)
-        assert row_digits(seed, row, (col,), 10) == str(value % 10)
+        assert row_digits(seed, row, range(col, col + 1), 2) == str(value & 1)
+        assert row_digits(seed, row, range(col, col + 1), 10) == str(value % 10)
 
 
 @pytest.mark.parametrize("seed", [0, 7, -3, 2**70 + 3])
