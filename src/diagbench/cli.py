@@ -47,7 +47,7 @@ FILE_CAP = 12 * 10**6
 
 
 # Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
-# under --format csv.  main encodes it once, with _json_chunks or _csv_text.
+# under --format csv.  main encodes it once, with _json_chunks or _csv_chunks.
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
@@ -102,20 +102,25 @@ def _json(value, indent="\n") -> str:
     return _SCALARS[type(value)](value)
 
 
-def _texts(values, indent) -> list:
-    # _json of each value; a scalar's encoder is called without a _json frame.
-    return [s(v) if (s := _SCALARS.get(type(v))) else _json(v, indent) for v in values]
+def _texts(values, indent):
+    # _json of each value, as values yields it; a scalar's encoder is called
+    # without a _json frame.
+    return (s(v) if (s := _SCALARS.get(type(v))) else _json(v, indent) for v in values)
 
 
 def _list_pieces(value, indent) -> list:
-    """_json(value, indent) as a list of strings, one to each item of a list."""
-    if not isinstance(value, (list, tuple)) or not value or _ints(value):
+    """_json(value, indent) as a list of strings, one to each item of a list, or
+    of an iterator, which renders as the list of what it yields."""
+    if not hasattr(value, "__next__") and (
+            not isinstance(value, (list, tuple)) or not value or _ints(value)):
         return [_json(value, indent)]
     inner = indent + "  "
     sep = "," + inner
     out = ["[" + inner]
     for text in _texts(value, inner):
         out += (text, sep)
+    if len(out) == 1:  # an iterator that yielded nothing
+        return ["[]"]
     out[-1] = indent + "]"
     return out
 
@@ -123,8 +128,9 @@ def _list_pieces(value, indent) -> list:
 def _json_chunks(payload) -> list:
     """The JSON text of payload and a closing newline, as a list of strings.
 
-    A top-level list, and each list value of a top-level dict, is split into
-    one string per item, so no one string holds a large payload's text.
+    A top-level list, and each list or iterator value of a top-level dict, is
+    split into one string per item, so no one string holds a large payload's
+    text and no iterator's items are held beside their text.
     """
     if not isinstance(payload, dict) or not payload:
         return [*_list_pieces(payload, "\n"), "\n"]
@@ -142,11 +148,13 @@ def _json_chunks(payload) -> list:
 _CELLS = {**_SCALARS, str: str, Fraction: lambda f: f"{f.numerator},{f.denominator}"}
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join([_CELLS[type(cell)](cell) for cell in row]) for row in rows]
-    lines.append("")
-    return "\n".join(lines)
+def _csv_chunks(header, rows) -> list:
+    """The CSV text of header and rows, one string to a line; rows may be an
+    iterator, consumed as each row's line is made."""
+    out = [",".join(header) + "\n"]
+    for row in rows:
+        out.append(",".join([_CELLS[type(cell)](cell) for cell in row]) + "\n")
+    return out
 
 
 # ---------------------------------------------------------------- diagonal
@@ -228,11 +236,11 @@ def _cmd_unrank(args):
 
 def _cmd_dovetail(args):
     from . import subsets
-    subs = subsets.dovetail_enumerate(args.count)
+    # An iterator, rendered as the sweep yields: no list of subsets is held.
+    subs = subsets.dovetail_iter(args.count)
     if args.format == "json":
-        return {"count": args.count, "subsets": [s.elements for s in subs]}
-    rows = [(i, " ".join(str(e) for e in s)) for i, s in enumerate(subs)]
-    return ("index", "elements"), rows
+        return {"count": args.count, "subsets": (s.elements for s in subs)}
+    return ("index", "elements"), enumerate(" ".join(map(str, s)) for s in subs)
 
 
 def _cmd_figure1(args):
@@ -486,7 +494,7 @@ def main(argv=None) -> int:
     try:
         result = args.func(args)
         if args.format == "csv":
-            chunks = [_csv_text(*result)]
+            chunks = _csv_chunks(*result)
         else:
             chunks = _json_chunks(result)
         if args.output:

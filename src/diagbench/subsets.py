@@ -28,11 +28,11 @@ from .errors import (
 )
 from .record import Record
 
-# The first K subsets hold about (2K)^1.5 / 6 elements; the CLI writes them in
-# either format within 10 s and 1 GB.  On 2 CPUs, as --output children: CSV 1.3 s,
-# JSON 1.6 s, 0.12 GB each at this cap; at 10**5 about 4 s and 0.30 GB each, past
-# the 256 MB that tests/test_acceptance.py allows the JSON child.
-DOVETAIL_CAP = 5 * 10**4
+# The first K subsets hold about (2K)^1.5 / 6 elements.  The CLI renders them as
+# the sweep yields and holds only its output text, so at this cap, as --output
+# children on 2 CPUs, JSON takes about 4.4 s and 176 MB and CSV 4.2 s and 75 MB,
+# within the 10 s and 256 MB that tests/test_acceptance.py allows either format.
+DOVETAIL_CAP = 10**5
 FIGURE1_CAP = 2**10
 # Ranks at or above this do not print under Python's default limit of 4300
 # digits for an int.  A constant, so PYTHONINTMAXSTRDIGITS does not move it.
@@ -271,28 +271,36 @@ def extend_subsets(level, bound: int):
 
 
 def dovetail_enumerate(count: int):
-    """First `count` finite subsets in stage order.
+    """First `count` finite subsets in stage order, as a list.
 
     Stage t emits the rank-(t-p) p-subset for p = 1..t, after stage 0 emits
-    the empty set; every finite subset appears exactly once.  For each p the
-    rank grows by one per stage, so one current p-subset is kept and stepped
-    to its colexicographic successor, with the index to grow next kept beside
-    it as in Algorithm T (Knuth, TAOCP 4A, 7.2.1.3).
+    the empty set; every finite subset appears exactly once.
 
     >>> [s.elements for s in dovetail_enumerate(7)]
     [(), (0,), (1,), (0, 1), (2,), (0, 2), (0, 1, 2)]
     """
+    return list(dovetail_iter(count))
+
+
+def dovetail_iter(count: int):
+    """dovetail_enumerate(count) as an iterator; count is checked at the call."""
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > DOVETAIL_CAP:
         raise CapExceeded(f"count {count} above cap {DOVETAIL_CAP}")
+    return itertools.islice(_stages(), count)
+
+
+def _stages():
+    # Every finite subset in stage order.  For each p the rank grows by one per
+    # stage, so one current p-subset is kept and stepped to its colexicographic
+    # successor, with the index to grow next kept beside it as in Algorithm T
+    # (Knuth, TAOCP 4A, 7.2.1.3).
     of = FiniteSubset._of
-    out = [of(())] if count else []
+    yield of(())
     current = []  # current[p - 1] is the p-subset emitted in the last stage
     grow = []  # grow[p - 1] is the index of it that grows next, or -1 to scan for it
-    t = 0
-    while len(out) < count:
-        t += 1
+    for t in itertools.count(1):
         for p, c in enumerate(current):
             # The lowest element that can grow without meeting the next one (the
             # top one always can) grows by one.  After c[i] grows, c[:i] is 0..i-1,
@@ -305,13 +313,10 @@ def dovetail_enumerate(count: int):
                 c[:i] = range(i)
             c[i] += 1
             grow[p] = i - 1
-            out.append(of(tuple(c)))
-            if len(out) == count:
-                return out
+            yield of(tuple(c))
         current.append(list(range(t)))
         grow.append(t - 1)
-        out.append(of(tuple(current[-1])))
-    return out
+        yield of(tuple(current[-1]))
 
 
 def encode_subset(s: FiniteSubset) -> int:

@@ -14,6 +14,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 import diagbench
 
 from diagbench.chains import (
@@ -269,8 +271,8 @@ def test_a_million_bit_code_decodes_within_budget():
 
 
 def test_dovetail_reaches_its_cap():
-    # The sweep at its cap: about 0.2 s on a 2-vCPU VM, 1.1 s while each step
-    # rescanned its lowest run and each subset was checked again.
+    # The sweep at its cap: about 0.6 s on a 2-vCPU VM; with the checks below,
+    # the test takes about 2.4 s.
     budget = Budget(5)
     seen = dovetail_enumerate(DOVETAIL_CAP)
     budget.check()
@@ -286,17 +288,21 @@ def test_dovetail_reaches_its_cap():
     assert len(seen[-1]) == p and colex_rank(seen[-1].elements) == t - p
 
 
-def test_dovetail_json_at_its_cap_fits_the_budget(tmp_path):
-    # The CLI child at the cap: about 1.6 s and 118 MB on a 2-vCPU VM; it took
-    # 5 s and 522 MB while the JSON text was built as one string.
-    out = tmp_path / "dovetail.json"
+@pytest.mark.parametrize("fmt, head", [
+    ("json", f'{{\n  "count": {DOVETAIL_CAP},\n  "subsets": [\n    [],\n    [\n      0\n    ],\n'),
+    ("csv", "index,elements\n0,\n1,0\n2,1\n3,0 1\n"),
+], ids=["json", "csv"])
+def test_dovetail_at_its_cap_fits_the_budget(tmp_path, fmt, head):
+    # The CLI child at the cap, rendering as the sweep yields: about 4.4 s and
+    # 176 MB (JSON) or 75 MB (CSV) on 2 CPUs.  With the whole subset list held
+    # before rendering, both formats took over 300 MB at this count.
+    out = tmp_path / f"dovetail.{fmt}"
     wall, peak_mb = _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP,
-                               "--format", "json", "--output", out)
+                               "--format", fmt, "--output", out)
     assert wall < 10, f"took {wall:.2f}s, budget 10s"
     assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
     with open(out, encoding="utf-8") as fh:
-        head = fh.read(64)
-    assert head.startswith(f'{{\n  "count": {DOVETAIL_CAP},\n  "subsets": [\n    [],\n')
+        assert fh.read(len(head)) == head
 
 
 def test_an_over_cap_rank_exits_2_before_its_sum(capsys):

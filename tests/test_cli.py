@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagbench import chains, cli, density, diagonal, subsets
@@ -200,6 +200,15 @@ def test_dovetail_listing(capsys):
         "8,1 2\n"
         "9,0 1 3\n"
     )
+    # The CLI renders as the sweep yields; its bytes are the library list's.
+    for count in range(65):
+        subs = [s.elements for s in subsets.dovetail_enumerate(count)]
+        payload = {"count": count, "subsets": subs}
+        code, out, _ = run(capsys, "subsets", "dovetail", "--count", str(count), "--format", "json")
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run(capsys, "subsets", "dovetail", "--count", str(count))
+        lines = [f"{i},{' '.join(map(str, s))}" for i, s in enumerate(subs)]
+        assert code == 0 and out == "\n".join(["index,elements", *lines, ""])
 
 
 def test_table_rows(capsys):
@@ -447,7 +456,7 @@ def test_other_command_output_matches_the_golden_digest(capsys):
 
 
 def test_no_csv_cell_of_the_golden_runs_needs_quoting():
-    # _csv_text joins cells unquoted, which is right only while no cell holds a
+    # _csv_chunks joins cells unquoted, which is right only while no cell holds a
     # comma, a quote or a line break, and no row is one field (an empty one
     # needs quotes).
     cell = re.compile(r'[^,"\r\n]*')
@@ -527,10 +536,14 @@ _json_payloads = st.recursive(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_json_payloads)
+@example({"empty": [], "one": [[]]})
 def test_json_chunks_equal_json_dumps(payload):
     chunks = cli._json_chunks(payload)
     assert all(isinstance(chunk, str) for chunk in chunks)
     assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
+    if isinstance(payload, dict):  # a list value given as an iterator renders as the list
+        lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
+        assert "".join(cli._json_chunks(lazy)) == "".join(chunks)
 
 
 def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -548,6 +561,13 @@ def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys, monkeypatch)
     code, out, err = run(capsys, *argv, "--output", str(target))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")
+    # The sweep is rendered as it yields, but its count is checked before.
+    for count, name in ((-1, "DomainError"), (subsets.DOVETAIL_CAP + 1, "CapExceeded")):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "subsets", "dovetail", "--count", str(count),
+                                 "--format", fmt, "--output", str(target))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {name}: ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -29,6 +29,7 @@ from diagbench.subsets import (
     complement_inv,
     decode_subset,
     dovetail_enumerate,
+    dovetail_iter,
     encode_subset,
     extend_subsets,
     figure1_data,
@@ -371,10 +372,13 @@ def test_dovetail_has_no_repeats_and_reaches_small_sets():
 
 def test_dovetail_limits():
     assert dovetail_enumerate(0) == []
-    with pytest.raises(DomainError):
-        dovetail_enumerate(-1)
-    with pytest.raises(CapExceeded):
-        dovetail_enumerate(DOVETAIL_CAP + 1)
+    assert list(dovetail_iter(0)) == []
+    # The iterator's count is checked at the call, before anything is taken.
+    for count, error in ((-1, DomainError), (DOVETAIL_CAP + 1, CapExceeded)):
+        with pytest.raises(error):
+            dovetail_enumerate(count)
+        with pytest.raises(error):
+            dovetail_iter(count)
 
 
 def test_dovetail_steps_through_colex_ranks_stage_by_stage():
@@ -395,6 +399,7 @@ def test_dovetail_matches_a_scan_only_successor():
     # kept index growing and a scan after the lowest element grew, occurs.
     for n in (0, 1, 2, 3, 20000):
         assert [s.elements for s in dovetail_enumerate(n)] == scan_dovetail(n)
+        assert [s.elements for s in dovetail_iter(n)] == scan_dovetail(n)
 
 
 def test_trusted_construction_matches_the_public_constructor():
