@@ -21,9 +21,8 @@ from .record import Record
 
 SIEVE_CAP = 10**7
 # totient_sums' work, counted as icbrt(n)**2 per distinct point above its sieve.
-# The kernel runs about 2.4e6 units/s on 2 CPUs; at this cap 108 points spaced
-# 217 apart below 10**7 took 2.2 s (rat-exact/nat) and 4.2 s (rat-exact/rat-exact,
-# two kernel calls) at 24 MB as CLI children.
+# At this cap 108 points spaced 217 apart below 10**7 take 3.0-3.8 s and 21 MB
+# as a CLI child on 2 CPUs, with --b nat or --b rat-exact (one kernel call).
 WORK_CAP = 5 * 10**6
 # The n-by-n grid holds n**2 cells; `density grid --n 100` takes about 0.09 s.
 GRID_CAP = 100

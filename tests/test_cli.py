@@ -10,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,21 @@ def test_dovetail_listing(capsys):
         code, out, _ = run(capsys, "subsets", "dovetail", "--count", str(count))
         lines = [f"{i},{' '.join(map(str, s))}" for i, s in enumerate(subs)]
         assert code == 0 and out == "\n".join(["index,elements", *lines, ""])
+
+
+# stdout sha256 of `subsets dovetail --count 12000` in each format, as the sweep
+# and the encoder have written it since dovetail rendered as the sweep yields.
+DOVETAIL_GOLDEN_SHA256 = {
+    "json": "05686c6e003cbb5ff0f6818b0df3e4946b0b70697831aa62eaf9a45e4c6ec276",
+    "csv": "97688e1a82d07a5d0e835b568a928cb1e7812812b3a9d3356708399151e25a2d",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DOVETAIL_GOLDEN_SHA256))
+def test_dovetail_output_matches_the_golden_digest(capsys, fmt):
+    code, out, _ = run(capsys, "subsets", "dovetail", "--count", "12000", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOVETAIL_GOLDEN_SHA256[fmt]
 
 
 def test_table_rows(capsys):
@@ -544,6 +560,53 @@ def test_json_chunks_equal_json_dumps(payload):
     if isinstance(payload, dict):  # a list value given as an iterator renders as the list
         lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
         assert "".join(cli._json_chunks(lazy)) == "".join(chunks)
+
+
+def _int_lists(monkeypatch):
+    """Lists of ints at and past the ends of cli's table of int texts, and lists
+    that mix in a bool or a float, which must not read the table."""
+    # The CLI prints no float; json.dumps's text for one is its repr.
+    monkeypatch.setitem(cli._SCALARS, float, repr)
+    cli._join_ints(",", [0, 1])  # fills the table
+    top = max(cli._INT_TEXTS)
+    huge = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
+    ints = [[], [0], [top + 1], [0, top], [top, top + 1], [top + 1, 0, top],
+            [-1, 0, 1], [-top, top], [huge, -huge, 0], list(range(top + 3))]
+    mixed = [[0, True], [True, False], [1, 1.0], [False, 0, 2], [top, 1.5, top + 1]]
+    return ints, mixed
+
+
+def test_int_texts_equal_json_dumps_and_a_str_join(monkeypatch):
+    ints, mixed = _int_lists(monkeypatch)
+    for values in ints:
+        for seq in (values, tuple(values)):
+            assert cli._json(seq, "\n  ") == json.dumps(seq, indent=2).replace("\n", "\n  ")
+            assert cli._join_ints(" ", seq) == " ".join(map(str, seq))
+    for values in mixed:
+        assert cli._json(values) == json.dumps(values, indent=2)
+        assert "".join(cli._json_chunks({"v": values})) == json.dumps({"v": values}, indent=2) + "\n"
+
+
+def test_threads_that_fill_the_int_table_write_the_same_bytes(monkeypatch):
+    ints, mixed = _int_lists(monkeypatch)
+    payload = {"ints": ints, "mixed": mixed, "more": [list(range(k)) for k in range(600)]}
+    want_json = json.dumps(payload, indent=2) + "\n"
+    want_cells = [" ".join(map(str, values)) for values in ints]
+    monkeypatch.setattr(cli, "_INT_TEXTS", {})  # unfilled: each thread may fill it
+    barrier = threading.Barrier(8)
+
+    def render(_):
+        barrier.wait()
+        return "".join(cli._json_chunks(payload)), [cli._join_ints(" ", v) for v in ints]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, inside the fill too
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(render, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [(want_json, want_cells)] * 8
 
 
 def test_a_failure_while_rendering_writes_nothing(tmp_path, capsys, monkeypatch):

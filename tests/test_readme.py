@@ -2,6 +2,7 @@
 output must match what the CLI prints, and the library block must run.  Each
 cap the README states must be the constant the code enforces."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -15,6 +16,7 @@ from diagbench.density import EXPONENTIAL_CAP, GRID_CAP, SIEVE_CAP, WORK_CAP
 from diagbench.diagonal import EXPLICIT_CELL_CAP, SCAN_CAP, UNIVERSE_CAP
 from diagbench.subsets import (
     DOVETAIL_CAP,
+    FIGURE1_CAP,
     RANK_CAP,
     TABLE1_LABELS,
     UNRANK_BITS_CAP,
@@ -41,6 +43,25 @@ def test_library_example_runs():
     exec(compile(LIBRARY[0], "README.md", "exec"), {})
 
 
+def test_the_library_section_names_what_the_acceptance_tests_call():
+    # Each name, caps aside, that the acceptance tests import from a kernel
+    # module is listed under that module, and each listed name is the module's.
+    block = README.split("The public names that `tests/test_acceptance.py` calls")[1]
+    block = block.split("\n\n")[1]
+    listed = {module: set(re.findall(r"`(\w+)`", names))
+              for module, names in re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", block, re.M | re.S)}
+    source = (pathlib.Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    imports = re.findall(r"^from diagbench\.(\w+) import (\([^)]*\)|.*)$", source, re.M)
+    assert {module for module, _ in imports} >= {"chains", "density", "diagonal", "eps", "subsets"}
+    for module, names in imports:
+        names = {name.split(" as ")[0] for name in re.split(r"[\s(),]+", names)} - {"", "as"}
+        if module != "cli":
+            assert {n for n in names if not n.isupper()} <= listed[module], module
+    for module, names in listed.items():
+        kernel = importlib.import_module(f"diagbench.{module}")
+        assert names and all(hasattr(kernel, name) for name in names), module
+
+
 # Each README phrase that states a cap, with {N} where the number stands, and
 # the constant it must equal.  A number reads "50000", "10^6" or "1.2 × 10^7".
 STATED_CAPS = (
@@ -54,6 +75,7 @@ STATED_CAPS = (
     ("takes `--p` up to {N}", UNRANK_P_CAP),
     ("a rank of at most {N} bits", UNRANK_BITS_CAP),
     ("`--count` is capped at {N}", DOVETAIL_CAP),
+    ("at `--n {N}`, the cap", FIGURE1_CAP),
     ("every sample point is at most {N}", EXPONENTIAL_CAP),
     ("sample point is at most {N} (`SIEVE_CAP`)", SIEVE_CAP),
     ("at most {N} units in all", WORK_CAP),

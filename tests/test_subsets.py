@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diagbench import subsets
@@ -163,6 +164,15 @@ def test_figure_series_at_the_cap_match_pascal_addition():
     assert coeffs == list(enumerate(row))
     half = FIGURE1_CAP // 2
     assert ratios == [(d, Fraction(row[half + d + 1], row[half + d])) for d in range(half)]
+
+
+@given(st.integers(min_value=1, max_value=FIGURE1_CAP // 2))
+@example(1)
+@example(FIGURE1_CAP // 2)
+def test_figure_coefficients_match_math_comb(half):
+    n = 2 * half
+    coeffs, _ = figure1_data(n)
+    assert coeffs == [(p, math.comb(n, p)) for p in range(n + 1)]
 
 
 def test_figure_small_and_error_cases():
