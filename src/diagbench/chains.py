@@ -12,10 +12,10 @@ terminal is first absorbed into the last link, since such a statement is
 structurally identical to the target).  The entailment closure treats `=>` as
 one directed edge and `<=>` as two.
 
-A chain is a path, so no search is needed: one pass over the links finds
-each node's closure as a contiguous slice of [~target, *statements, target]
-(see _reach).  A verdict reads only the slices' ends, so it is linear in
-chain length.
+Parsing is one grammar match; a line it rejects is walked token by token to
+report the first error and its position.  A chain is a path, so a verdict
+reads its statement sets from the leading run of `<=>` links (see _sets), and
+the closure is one pass over contiguous slices of the chain (see _reach).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import CapExceeded, ChainSemanticsError, ChainSyntaxError, DomainEr
 from .record import Record
 
 # Statements per chain.  Parsing and the verdict are linear in chain length:
-# `chains analyze --script` on one chain at the cap takes about 0.9 s and
-# 67 MB as a CLI child on a 2-vCPU VM, within a budget of 5 s and 256 MB.
+# `chains analyze --script` on one chain at the cap takes about 0.4 s and
+# 69 MB as a CLI child on a 2-vCPU VM, within a budget of 5 s and 256 MB.
 CHAIN_CAP = 10**5
 
 # Tokens in a chain of CHAIN_CAP statements with the longest terminal,
@@ -106,18 +106,6 @@ _TOKEN = re.compile(r"\s*(?:(<=>|=>|~|&|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 _CONNECTIVES = {c.value: c for c in Connective}
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in islice(_TOKEN.finditer(text), _TOKEN_CAP + 1):
-        tok, bad = m.group(1, 2)
-        if bad:
-            raise ChainSyntaxError(f"unexpected character {bad!r}", m.start(2) + 1)
-        tokens.append((tok, m.start(1) + 1))
-    if len(tokens) > _TOKEN_CAP:
-        raise CapExceeded(_TOO_LONG)
-    return tokens
-
-
 def _expect(tokens, i, what, ok):
     """The text of tokens[i] if ok accepts it, else a syntax error there."""
     tok, pos = tokens[i]
@@ -127,8 +115,56 @@ def _expect(tokens, i, what, ok):
     return tok
 
 
+# The whole grammar, `~ NAME (CONN NAME)+ (& ~ NAME)?`; group 2 holds the links
+# and the terminal's connective and name.  Each name is matched whole (a lookahead
+# capture, then its backreference), so no shorter prefix of it is ever retried.
+_NAME = r"(?=([A-Za-z_][A-Za-z0-9_]*))\{}"
+_CHAIN = re.compile(
+    r"\s*~\s*" + _NAME.format(1) + r"((?:\s*<?=>\s*" + _NAME.format(3) + r")+)"
+    r"(?:\s*&\s*~\s*" + _NAME.format(4) + r")?\s*"
+)
+_MARKS = {"<": Connective.IFF, ">": Connective.IMPLIES}
+
+
+def _match(text: str):
+    """The AST of a chain with no error, from one grammar match; else None."""
+    # Each connective holds one "=>", and a chain has one more than it has links.
+    m = text.count("=>") <= CHAIN_CAP + 1 and _CHAIN.fullmatch(text)
+    if not m:
+        return None
+    target, body, _, other = m.groups()
+    toks = body.replace("<=>", " < ").replace("=>", " > ").split()
+    names, last = toks[1:-2:2], toks[-1]
+    if len({target, "CONTRA", *names}) != len(names) + 2:
+        return None  # a name repeated, or CONTRA before the terminal
+    if other is not None and (other != last or last == "CONTRA"):
+        return None  # a mismatched pair, or CONTRA & ~CONTRA
+    if last == target:
+        kind = TerminalKind.TARGET if other is None else TerminalKind.TARGET_CONJ_NEG
+        other = None  # the terminal names no atom of its own
+    elif other or last == "CONTRA":
+        kind = TerminalKind.CONTRADICTION
+    else:
+        return None  # a dangling end
+    # through a list, so that the kept tuple is allocated at its exact size
+    links = tuple([*zip(map(_MARKS.__getitem__, toks[:-2:2]), names)])
+    return ChainAST(target, links, Terminal(kind, _MARKS[toks[-2]], other))
+
+
 def parse_chain(text: str) -> ChainAST:
-    tokens = _tokenize(text)
+    return _match(text) or _walk(text)
+
+
+def _walk(text: str) -> ChainAST:
+    """Parse token by token, raising the first error with its position."""
+    tokens = []
+    for m in islice(_TOKEN.finditer(text), _TOKEN_CAP + 1):
+        tok, bad = m.group(1, 2)
+        if bad:
+            raise ChainSyntaxError(f"unexpected character {bad!r}", m.start(2) + 1)
+        tokens.append((tok, m.start(1) + 1))
+    if len(tokens) > _TOKEN_CAP:
+        raise CapExceeded(_TOO_LONG)
     tokens.append((None, len(text) + 1))  # end of chain
     atom = str.isidentifier  # true of the tokenizer's names, false of its symbols
 
@@ -273,21 +309,26 @@ def entailment_closure(ast: ChainAST) -> dict:
     """Transitive reachability (paths of length >= 1) over the chain's edges.
 
     The output holds one frozenset per node, so it is quadratic in chain
-    length; verdict and detect_inconceivable never build it.
+    length; verdict and detect_inconceivable never build it (see _sets).
     """
     nodes = [ast.start, *ast.statements, ast.target]
     return {node: frozenset(nodes[lo:hi]) for node, (lo, hi) in zip(nodes, _reach(ast))}
 
 
-def _inconceivable(ast: ChainAST, spans: list) -> tuple:
-    # a closure holding both the start and the target is every node
-    whole = (0, len(spans))
-    return tuple(s for (_, s), span in zip(ast.links, spans[1:]) if span == whole)
+def _sets(ast: ChainAST) -> tuple:
+    """(iff prefix k, independent, inconceivable).  Only the first k statements
+    reach back to the start, and all reach a bare target; a `target & ~target`
+    terminal links the last statement to the start, tying every one to both."""
+    k = _iff_prefix([c for c, _ in ast.links])
+    statements, kind = ast.statements, ast.terminal.kind
+    if kind is TerminalKind.TARGET_CONJ_NEG:
+        return k, (), statements
+    return k, statements[k:], statements[:k] if kind is TerminalKind.TARGET else ()
 
 
 def detect_inconceivable(ast: ChainAST) -> list:
     """Statements that entail both the target and its negation."""
-    return list(_inconceivable(ast, _reach(ast)))
+    return list(_sets(ast)[2])
 
 
 def _rationale(pattern, independent, inconceivable):
@@ -316,12 +357,7 @@ def _rationale(pattern, independent, inconceivable):
 
 def verdict(ast: ChainAST) -> Verdict:
     pattern = classify(ast)
-    spans = _reach(ast)
-    prefix = _iff_prefix([c for c, _ in ast.links])
-    # The start reaches every statement, so a statement is mutually entailed
-    # with it exactly when its own slice begins at the start.
-    independent = tuple(s for (_, s), (lo, _) in zip(ast.links, spans[1:]) if lo)
-    inconceivable = _inconceivable(ast, spans)
+    prefix, independent, inconceivable = _sets(ast)
     halfway = pattern in (ChainPattern.HALFWAY_39, ChainPattern.HALFWAY_310)
     valid = pattern in (ChainPattern.VALID_31, ChainPattern.VALID_34) or (
         halfway and bool(independent)

@@ -38,7 +38,7 @@ CSV_CELL_CAP = 10**6
 
 
 # Chains in one `analyze --script` file, whose statements in all stay within
-# chains.CHAIN_CAP.  At both caps the CLI child takes about 1.4 s and 48 MB on
+# chains.CHAIN_CAP.  At both caps the CLI child takes about 0.9 s and 44 MB on
 # a 2-vCPU VM, within a budget of 5 s and 256 MB.
 SCRIPT_CAP = 2 * 10**4
 

@@ -500,7 +500,7 @@ def test_the_grid_at_its_cap_fits_the_budget(tmp_path):
 
 def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
     # The CLI child on one all-<=> chain of CHAIN_CAP statements, whose
-    # report lists every statement twice: about 0.9 s and 67 MB on a 2-vCPU
+    # report lists every statement twice: about 0.4 s and 69 MB on a 2-vCPU
     # VM.  The per-node closure this verdict used to build needed about 20 s
     # and 2.3 GB at a tenth of this length.
     parts = ["~P"]
@@ -521,7 +521,7 @@ def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
 
 def test_a_script_at_its_caps_fits_the_budget(tmp_path):
     # SCRIPT_CAP all-<=> chains holding CHAIN_CAP statements in all, each
-    # statement listed twice in its report: about 1.4 s and 48 MB on a 2-vCPU
+    # statement listed twice in its report: about 0.9 s and 44 MB on a 2-vCPU
     # VM.  With no cap on chains, 200,000 short ones took 9.9 s and 226 MB.
     per = CHAIN_CAP // SCRIPT_CAP
     chain = "~P " + " ".join(f"<=> Q{i}" for i in range(1, per + 1)) + " <=> P\n"
@@ -612,6 +612,22 @@ def test_a_flooded_input_file_exits_2_before_its_lines_are_split(tmp_path):
         wall, peak_mb = _cli_child(*argv, code=2, err=err)
         assert wall < 2, f"{argv[-1].name} took {wall:.2f}s, budget 2s"
         assert peak_mb < 64, f"{argv[-1].name} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+
+
+def test_a_long_name_that_fails_late_fits_the_budget(tmp_path):
+    # One script line just under FILE_CAP: one long statement name, then a bad
+    # last character.  The grammar match takes each name whole, so it fails
+    # without retrying every shorter prefix of the name, and the walk then
+    # reports the character: about 0.3 s and 50 MB as a child on 2 CPUs, where
+    # a name group without the lookahead took 1.7-2.2 s.
+    head, tail = "~P => Q", " => CONTRA !"
+    line = head + "1" * (FILE_CAP - 2 - len(head) - len(tail)) + tail
+    script = tmp_path / "chain.txt"
+    script.write_text(line + "\n")
+    err = f"error: ChainSyntaxError: unexpected character '!' (position {len(line)})\n"
+    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, code=2, err=err)
+    assert wall < 2, f"took {wall:.2f}s, budget 2s"
+    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
 
 
 def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):

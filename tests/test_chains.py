@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -252,7 +253,15 @@ def test_detect_inconceivable_agrees_with_the_verdict(connectives, terminal):
     for i, conn in enumerate(connectives[:-1], start=1):
         parts += [conn, f"Q{i}"]
     ast = parse_chain(" ".join([*parts, connectives[-1], terminal]))
-    assert detect_inconceivable(ast) == list(verdict(ast).inconceivable)
+    v = verdict(ast)
+    assert detect_inconceivable(ast) == list(v.inconceivable)
+    # Both sets, read from the iff prefix, against each statement's reach
+    # slice: an independent one starts past the start, an inconceivable one
+    # covers the whole chain.
+    whole = (0, len(ast.links) + 2)
+    slices = list(zip(ast.statements, chains._reach(ast)[1:]))
+    assert v.independent == tuple(s for s, (lo, _) in slices if lo > 0)
+    assert v.inconceivable == tuple(s for s, span in slices if span == whole)
 
 
 def test_strengthening_links_never_shrinks_the_inconceivable_set():
@@ -412,12 +421,18 @@ def _outcome(text):
     return f"{ast.target}|{links}|{t.kind.value}|{t.connective.value}|{t.atom}"
 
 
-def test_parse_outcomes_match_the_golden_digest(monkeypatch):
+def _golden_texts():
+    """The digest's texts; those past the first 24,000 are also parsed at cap 3."""
     rng = random.Random(20261019)
     texts = [_soup(rng) for _ in range(24000)]
     texts += [random_chain_text(rng, 12) for _ in range(4000)]
     texts += [shaped_chain_text(rng) for _ in range(2000)]
     texts += [_mutant(rng, random_chain_text(rng, 6)) for _ in range(10000)]
+    return texts
+
+
+def test_parse_outcomes_match_the_golden_digest(monkeypatch):
+    texts = _golden_texts()
     digest = hashlib.sha256()
     for text in texts:
         digest.update(f"{text}\0{_outcome(text)}\0".encode())
@@ -426,3 +441,66 @@ def test_parse_outcomes_match_the_golden_digest(monkeypatch):
     for text in texts[24000:]:
         digest.update(f"{text}\0{_outcome(text)}\0".encode())
     assert digest.hexdigest() == PARSE_GOLDEN_SHA256
+
+
+# --- the grammar match against the walk -------------------------------------
+
+
+def _walked(text):
+    """The walk's AST, or None where it raises."""
+    try:
+        return chains._walk(text)
+    except (ChainSyntaxError, ChainSemanticsError, CapExceeded):
+        return None
+
+
+def test_the_grammar_match_agrees_with_the_walk(monkeypatch):
+    # The match must give the walk's AST for every chain the walk accepts, so
+    # that it is never silently unused, and None for every line the walk refuses.
+    texts = _golden_texts()
+    corners = ["~P => CONTRA & ~CONTRA", "~CONTRA => P", "~P => Q1 => Q1 & ~Q1",
+               "~P => P => CONTRA", "~P => CONTRA => CONTRA", "~P => Q1 => R & ~S",
+               "~P => Q1 => Q1", "~P => Q1 => Q1 => CONTRA", "~P <=> P & ~P"]
+    for text in [*corners, *texts]:
+        assert chains._match(text) == _walked(text), text
+    monkeypatch.setattr(chains, "CHAIN_CAP", 3)  # read by the match at call time
+    for text in texts[24000:]:
+        assert chains._match(text) == _walked(text), text
+
+
+def test_a_late_failure_after_a_long_name_costs_one_match():
+    # Each name is matched whole, so a line that fails at its last character
+    # is not retried at every shorter prefix of a long name: about 0.06 s on
+    # 2 CPUs, where a name group without the lookahead took 1.8-2.0 s.
+    line = "~P => Q" + "1" * 12 * 10**6 + " => CONTRA !"
+    start = time.perf_counter()
+    assert chains._match(line) is None
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s, budget 0.5s"
+
+
+_GAPS = st.sampled_from(["", " ", "\x1c", "\t", " \t\x1c "])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(["=>", "<=>"]), min_size=1, max_size=10),
+    st.sampled_from([["CONTRA"], ["P"], ["R", "&", "~", "R"], ["P", "&", "~", "P"]]),
+    st.lists(_GAPS, min_size=30, max_size=30),
+)
+def test_the_grammar_match_takes_every_well_formed_chain(connectives, terminal, gaps):
+    toks = ["~", "P"]
+    for i, conn in enumerate(connectives[:-1], start=1):
+        toks += [conn, f"Q{i}"]
+    toks += [connectives[-1], *terminal]
+    text = "".join(gap + tok for gap, tok in zip(gaps, toks)) + gaps[-1]
+    ast = chains._match(text)
+    assert ast is not None
+    assert ast == chains._walk(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_GAPS, st.sampled_from(_SOUP_TOKENS)), max_size=14), _GAPS)
+def test_the_grammar_match_agrees_with_the_walk_on_token_soup(pieces, end):
+    text = "".join(gap + tok for gap, tok in pieces) + end
+    assert chains._match(text) == _walked(text)
