@@ -253,8 +253,8 @@ def _iff_prefix(conns: list) -> int:
     return conns.index(Connective.IMPLIES) if Connective.IMPLIES in conns else len(conns)
 
 
-def classify(ast: ChainAST) -> ChainPattern:
-    conns = [c for c, _ in ast.links]
+def classify(ast: ChainAST, conns: list = None) -> ChainPattern:
+    conns = [c for c, _ in ast.links] if conns is None else list(conns)  # popped below
     last = ast.terminal.connective
     even = ast.terminal.kind is TerminalKind.TARGET
     # A statement linked to the target by <=> is structurally the target, so
@@ -315,12 +315,11 @@ def entailment_closure(ast: ChainAST) -> dict:
     return {node: frozenset(nodes[lo:hi]) for node, (lo, hi) in zip(nodes, _reach(ast))}
 
 
-def _sets(ast: ChainAST) -> tuple:
+def _sets(kind: TerminalKind, conns: list, statements: tuple) -> tuple:
     """(iff prefix k, independent, inconceivable).  Only the first k statements
     reach back to the start, and all reach a bare target; a `target & ~target`
     terminal links the last statement to the start, tying every one to both."""
-    k = _iff_prefix([c for c, _ in ast.links])
-    statements, kind = ast.statements, ast.terminal.kind
+    k = _iff_prefix(conns)
     if kind is TerminalKind.TARGET_CONJ_NEG:
         return k, (), statements
     return k, statements[k:], statements[:k] if kind is TerminalKind.TARGET else ()
@@ -328,7 +327,7 @@ def _sets(ast: ChainAST) -> tuple:
 
 def detect_inconceivable(ast: ChainAST) -> list:
     """Statements that entail both the target and its negation."""
-    return list(_sets(ast)[2])
+    return list(verdict(ast).inconceivable)
 
 
 def _rationale(pattern, independent, inconceivable):
@@ -356,8 +355,9 @@ def _rationale(pattern, independent, inconceivable):
 
 
 def verdict(ast: ChainAST) -> Verdict:
-    pattern = classify(ast)
-    prefix, independent, inconceivable = _sets(ast)
+    conns, statements = [c for c, _ in ast.links], ast.statements  # read once, shared
+    pattern = classify(ast, conns)
+    prefix, independent, inconceivable = _sets(ast.terminal.kind, conns, statements)
     halfway = pattern in (ChainPattern.HALFWAY_39, ChainPattern.HALFWAY_310)
     valid = pattern in (ChainPattern.VALID_31, ChainPattern.VALID_34) or (
         halfway and bool(independent)

@@ -3,8 +3,8 @@
 Output is byte-deterministic for a fixed argument list (including --seed):
 JSON with two-space indent, rationals rendered as "p/q"; CSV with a header row,
 "\n" line endings and no quoting, each row one join of its cells' _CELLS
-texts.  One encoder, _json, writes every JSON byte, the same text json.dumps
-gives at a two-space indent with _frac as its default.
+texts.  JSON is json.dumps's text at a two-space indent with _frac as its
+default: _json writes it, but an int-to-int map goes in blocks, one %-format each.
 Output is rendered whole, as a list of chunks, before its first byte is
 written, so a run that fails writes nothing to stdout and creates no --output
 file.  Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import CapExceeded, WorkbenchError
@@ -45,6 +46,8 @@ SCRIPT_CAP = 2 * 10**4
 # Characters in one --explicit or --script file, as read.  A file at both
 # explicit-array caps, 10**6 rows of 10 digits, is 1.1 * 10**7 characters.
 FILE_CAP = 12 * 10**6
+
+_BLOCK = 4096  # members of an int-to-int map per JSON chunk, made by one %-format
 
 
 # Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
@@ -105,16 +108,12 @@ def _json(value, indent="\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        keys = set(map(type, value))
-        if keys == {int} and _ints(value.values()):
-            members = [f'"{k}": {v}' for k, v in value.items()]
-        else:
-            # _texts inlined: grids render 10**4 small dicts, and the call shows.
-            name = encode_basestring_ascii if keys == {str} else _key
-            members = [
-                f"{name(k)}: {s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
-                for k, v in value.items()
-            ]
+        # _texts inlined: grids render 10**4 small dicts, and the call shows.
+        name = encode_basestring_ascii if set(map(type, value)) == {str} else _key
+        members = [
+            f"{name(k)}: {s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(members) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -133,13 +132,20 @@ def _texts(values, indent):
 
 
 def _list_pieces(value, indent) -> list:
-    """_json(value, indent) as a list of strings, one to each item of a list, or
-    of an iterator, which renders as the list of what it yields."""
+    """_json(value, indent) as a list of strings, one per item of a list or an
+    iterator (rendered as what it yields), or per _BLOCK members of an int map."""
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict) and _ints(value) and _ints(value.values()):
+        items = iter(value.items())
+        out = ["{" + inner]
+        while block := tuple(chain.from_iterable(islice(items, _BLOCK))):
+            out += (sep.join(['"%d": %d'] * (len(block) // 2)) % block, sep)
+        out[-1] = indent + "}"
+        return out
     if not hasattr(value, "__next__") and (
             not isinstance(value, (list, tuple)) or not value or _ints(value)):
         return [_json(value, indent)]
-    inner = indent + "  "
-    sep = "," + inner
     out = ["[" + inner]
     for text in _texts(value, inner):
         out += (text, sep)
@@ -152,9 +158,9 @@ def _list_pieces(value, indent) -> list:
 def _json_chunks(payload) -> list:
     """The JSON text of payload and a closing newline, as a list of strings.
 
-    A top-level list, and each list or iterator value of a top-level dict, is
-    split into one string per item, so no one string holds a large payload's
-    text and no iterator's items are held beside their text.
+    A top-level list, and each list, iterator or int map value of a top-level
+    dict, is split into one string per item (per _BLOCK members of a map): no
+    string holds a large payload's text, and no iterator's items sit beside it.
     """
     if not isinstance(payload, dict) or not payload:
         return [*_list_pieces(payload, "\n"), "\n"]

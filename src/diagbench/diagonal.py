@@ -308,7 +308,7 @@ def _scan_family(spec, candidate, depth, prefix_len):
         for j in range(m, end + 1):
             if candidate.digit_at(j) != row_digit(spec, m, j):
                 diffs[m] = j
-                diffs.update(dict.fromkeys(range(m + 1, depth + 1), m))
+                diffs.update(zip(range(m + 1, depth + 1), itertools.repeat(m)))
                 break
         else:
             found = m

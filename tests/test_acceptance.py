@@ -644,19 +644,24 @@ def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
 
 
 def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
-    # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs:
-    # about 1 s and 210 MB for each of these families.
+    # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs
+    # (Python 3.11): about 0.6-0.7 s and 107-114 MB for each of these families.
+    # The candidate "11111(01)" leaves the antidiagonal "(1)" at 6 and misses:
+    # every later string first differs from it at 6 (0.6 s, 109 MB).
     out = tmp_path / "report.json"
-    for family in (("alt-24",), ("random-below-26",),
-                   ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal")):
+    full = (("alt-24",), ("random-below-26",),
+            ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal"))
+    miss = ("lower-tri-22", "--candidate", "11111(01)")
+    for family, last in [*((f, SCAN_CAP) for f in full), (miss, 6)]:
         wall, peak_mb = _cli_child("diagonal", "--family", *family, "--seed", "7",
                                    "--depth", SCAN_CAP, "--output", out)
         assert wall < 10, f"{family[0]} took {wall:.2f}s, budget 10s"
-        assert peak_mb < 1024, f"{family[0]} peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+        assert peak_mb < 160, f"{family[0]} peak RSS {peak_mb:.0f} MB, budget 160 MB"
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text
-        assert text.endswith(f'    "{SCAN_CAP}": {SCAN_CAP}\n  }}\n}}\n')
+        assert text.endswith(f'    "{SCAN_CAP}": {last}\n  }}\n}}\n')
+    assert '    "5": 5,\n    "6": 7,\n    "7": 6,\n' in text
 
 
 CLI_COMMANDS = (

@@ -562,6 +562,37 @@ def test_json_chunks_equal_json_dumps(payload):
         assert "".join(cli._json_chunks(lazy)) == "".join(chunks)
 
 
+def test_int_maps_render_in_blocks_equal_to_json_dumps():
+    block = cli._BLOCK
+    wide = {n: -n for n in range(-5000, 5001)}  # 10**4 + 1 members, several blocks
+    wide[0] = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
+    maps = [wide, {1: -wide[0]}, *(dict.fromkeys(range(k), k) for k in
+                                   (block - 1, block, block + 1, 2 * block, 2 * block + 1))]
+    for first in maps:
+        payload = {"first_difference": first, "n": len(first)}
+        chunks = cli._json_chunks(payload)
+        assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+        assert len(cli._list_pieces(first, "\n  ")) == 2 * -(-len(first) // block) + 1
+
+
+def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
+    # %d would render True as 1 and 1.5 as 1: these take the generic member path.
+    monkeypatch.setitem(cli._SCALARS, float, repr)  # json.dumps's text for a float
+    for first in ({True: 1}, {1: 2, False: 3}, {1: True}, {1: 2, 3: False},
+                  {1: 1.5}, {1: 2, 3: 4.0}, {1.5: 2}):
+        payload = {"first_difference": first}
+        assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+        assert cli._list_pieces(first, "\n  ") == [cli._json(first, "\n  ")]
+
+
+def test_no_chunk_of_a_scan_sized_int_map_exceeds_two_blocks():
+    payload = {"first_difference": {n: n for n in range(1, 10**5 + 1)}}
+    chunks = cli._json_chunks(payload)
+    member = len(',\n    "100000": 100000')  # the longest member, with its separator
+    assert max(map(len, chunks)) <= 2 * cli._BLOCK * member
+    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+
+
 def _int_lists(monkeypatch):
     """Lists of ints at and past the ends of cli's table of int texts, and lists
     that mix in a bool or a float, which must not read the table."""
