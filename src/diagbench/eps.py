@@ -17,6 +17,9 @@ from .errors import BadRadix, DomainError
 from .record import Record
 
 _LITERAL = re.compile(r"^([0-9]*)\(([0-9]+)\)$")
+# Byte tables between ASCII digit characters and digit values 0-9.
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TEXTS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
@@ -34,6 +37,10 @@ def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
         k += 1
     r = n - k % n
     return preperiod[: len(preperiod) - k], period[r:] + period[:r]
+
+
+def _text(digits: tuple[int, ...]) -> str:
+    return bytes(digits).translate(_TEXTS).decode()
 
 
 class EventuallyPeriodicString(Record):
@@ -56,6 +63,8 @@ class EventuallyPeriodicString(Record):
         if not period:
             raise DomainError("period must be nonempty")
         for digit in preperiod + period:
+            if type(digit) is not int:  # exact ints: no bool, no float
+                raise DomainError(f"digit {digit!r} is not an int")
             if not 0 <= digit < radix:
                 raise DomainError(f"digit {digit} out of range for radix {radix}")
         super().__init__(radix, *_canonical(preperiod, period))
@@ -70,14 +79,11 @@ class EventuallyPeriodicString(Record):
         m = _LITERAL.match(text.strip())
         if m is None:
             raise DomainError(f"not an eventually periodic literal: {text!r}")
-        pre = tuple(int(c) for c in m.group(1))
-        per = tuple(int(c) for c in m.group(2))
+        pre, per = (tuple(g.encode().translate(_VALUES)) for g in m.groups())
         return cls(radix, pre, per)
 
     def render(self) -> str:
-        pre = "".join(str(d) for d in self.preperiod)
-        per = "".join(str(d) for d in self.period)
-        return f"{pre}({per})"
+        return f"{_text(self.preperiod)}({_text(self.period)})"
 
     def digit_at(self, i: int) -> int:
         """Digit at 1-based position i; total for every i >= 1."""
@@ -88,8 +94,7 @@ class EventuallyPeriodicString(Record):
         return self.period[(i - len(self.preperiod) - 1) % len(self.period)]
 
     def prefix(self, length: int) -> str:
-        pre = "".join(map(str, self.preperiod))
-        per = "".join(map(str, self.period))
+        pre, per = _text(self.preperiod), _text(self.period)
         repeats = max(0, length - len(pre)) // len(per) + 1
         return (pre + per * repeats)[: max(0, length)]
 

@@ -5,15 +5,16 @@ totients, Pascal addition, a colex rank summed term by term and an unrank
 that bisects for every element, recursive path enumeration, a breadth-first
 closure over an explicit edge map, a chain's spacing fixed by two regex
 substitutions, a canonical form that rotates the period one digit at a time,
-a first difference found digit by digit over an lcm window, a bitmask's
-bits read byte by byte and summed back one shift at a time, a dovetail whose
-colex successor scans for the element to grow at every step, the
-summatory-totient kernel's work counted from float cube roots corrected by
-stepping, a random tail drawn one pinned cell hash at a time, and an array's
-radix by stripping each row.  The point is that none of it shares code with
-the package, apart from `random_row`'s one call per cell to the pinned
-`rng.cell_value`; `has_random_tail`, a test's question about a spec and no
-oracle, reads the package's family rule table.
+a literal parsed and spelled one character at a time, a first difference
+found digit by digit over an lcm window, a bitmask's bits read byte by byte
+and summed back one shift at a time, a dovetail whose colex successor scans
+for the element to grow at every step, the summatory-totient kernel's work
+counted from float cube roots corrected by stepping, a random tail drawn one
+pinned cell hash at a time, and an array's radix by stripping each row.
+The point is that none of it shares code with the package, apart from
+`random_row`'s one call per cell to the pinned `rng.cell_value`;
+`has_random_tail`, a test's question about a spec and no oracle, reads the
+package's family rule table.
 """
 
 import math
@@ -97,6 +98,21 @@ def rotating_canonical(preperiod, period):
         per.insert(0, per.pop())
         pre.pop()
     return tuple(pre), tuple(per)
+
+
+def parse_literal(text):
+    """The digits of a PRE(PERIOD) literal as two tuples, one int() per character."""
+    pre, per = text.removesuffix(")").split("(")
+    return tuple(int(c) for c in pre), tuple(int(c) for c in per)
+
+
+def spelled_prefix(preperiod, period, length):
+    """The first `length` digits of preperiod + period repeated, one str() per digit."""
+    out = []
+    for i in range(length):
+        j = i - len(preperiod)
+        out.append(str(preperiod[i] if j < 0 else period[j % len(period)]))
+    return "".join(out)
 
 
 def lcm_first_difference(a, b):

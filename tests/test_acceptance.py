@@ -177,14 +177,17 @@ def test_rule_family_scans():
 
 def test_family_csv_reaches_the_cell_cap(tmp_path):
     # The random-tail worst case: one string whose every cell past the
-    # diagonal is a seeded random draw, about 1.5 s on a 2-vCPU VM.
-    budget = Budget(15)
+    # diagonal is a seeded random draw.  As a child on a 2-vCPU VM it takes
+    # 0.3-0.5 s and 34 MB, 16 MB of which is the table of packed column
+    # hashes; each block's big ints are 16 KB.  A list of column hashes, at
+    # about 1.5 s and 83 MB, fails the RSS budget.
     width = CSV_CELL_CAP
     path = tmp_path / "rows.csv"
-    argv = ["diagonal", "--family", "random-below-26", "--seed", "5", "--depth", "1",
-            "--prefix", str(width), "--format", "csv", "--output", str(path)]
-    assert main(argv) == 0
-    budget.check()
+    wall, peak_mb = _cli_child("diagonal", "--family", "random-below-26", "--seed", "5",
+                               "--depth", "1", "--prefix", width, "--format", "csv",
+                               "--output", path)
+    assert wall < 5, f"took {wall:.2f}s, budget 5s"
+    assert peak_mb < 48, f"peak RSS {peak_mb:.0f} MB, budget 48 MB"
     header, line, end = path.read_text(encoding="utf-8").split("\n")
     assert (header, end) == ("n,digits", "")
     digits = line.removeprefix("1,")

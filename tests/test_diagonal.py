@@ -15,6 +15,7 @@ from diagbench.diagonal import (
     ArraySpec,
     Family,
     FlipPolicy,
+    _is_digits,
     antidiagonal_finite,
     antidiagonal_rule,
     diagonal_cover,
@@ -295,9 +296,19 @@ def test_family_spec_validation():
         ArraySpec.explicit(["01", "011"])
     with pytest.raises(DomainError):
         ArraySpec.explicit(["0a"])
-    for row in ("\u0663\u0663", "\u00b2", "1\u00b9", "\uff11\uff10"):  # non-ASCII digits
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\u0663\u0663", "\u00b2", "1\u00b9", "\uff11\uff10",
+                                  "", " 1", "1 ", "12\n", "1a"])
+def test_digit_strings_are_ascii_digits_only(text):
+    # Non-ASCII digits (Arabic-Indic, superscript, fullwidth) and whitespace.
+    assert not _is_digits(text)
+    assert _is_digits("0123456789" * 150) and _is_digits("0")
+    if text:
         with pytest.raises(DomainError, match="contains a non-digit"):
-            ArraySpec.explicit([row])
+            ArraySpec.explicit([text])
+        with pytest.raises(DomainError, match="^candidate must be a digit string$"):
+            membership_scan(ArraySpec.explicit(["1" * len(text)]), text, depth=1)
 
 
 def test_explicit_arrays_are_capped_as_their_rows_arrive():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.errors import BadRadix, DomainError
 
-from helpers import lcm_first_difference, rotating_canonical
+from helpers import lcm_first_difference, parse_literal, rotating_canonical, spelled_prefix
 
 
 def test_period_reduced_to_primitive_root():
@@ -78,6 +78,33 @@ def test_constructor_and_parse_rejections():
         EPS(3, (), (1,))
     with pytest.raises(DomainError):
         EPS(2, (), ())
+
+
+def test_digits_must_be_exact_ints():
+    # bool and float digits used to pass the range check: (True,) rendered
+    # as "True(0)" and its prefix(3) was "Tru".
+    for pre, per, bad in (((True,), (0,), "True"), ((), (1, 1.0), "1.0"),
+                          ((1, "1"), (0,), "'1'"), ((0, False, 2.5), (1,), "False")):
+        with pytest.raises(DomainError, match=f"^digit {bad} is not an int$"):
+            EPS(10, pre, per)
+    with pytest.raises(DomainError, match="^digit 2 out of range for radix 2$"):
+        EPS(2, (1, 2, True), (0,))  # the first bad digit is named
+    with pytest.raises(DomainError, match="^digit -1 out of range for radix 10$"):
+        EPS(10, (), (-1,))
+
+
+@pytest.mark.parametrize("radix", [2, 10])
+def test_a_long_literal_survives_parse_render_and_prefix(radix):
+    rng = random.Random(10**5 + radix)
+    pre = [rng.randrange(radix) for _ in range(70_000)]
+    per = [rng.randrange(radix) for _ in range(30_000)]
+    pre[-1] = (per[-1] + 1) % radix  # nothing to absorb: the literal is canonical
+    text = "".join(map(str, pre)) + "(" + "".join(map(str, per)) + ")"
+    s = EPS.parse(text, radix)
+    assert (s.preperiod, s.period) == parse_literal(text)
+    assert s.render() == text
+    for length in (0, 1, 69_999, 70_000, 100_000, 160_001):
+        assert s.prefix(length) == spelled_prefix(s.preperiod, s.period, length)
 
 
 def test_first_difference():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from diagbench.rng import cell_value, row_digits
+from diagbench.rng import _BLOCK, cell_value, row_digits
 
 # Reference values of the cell hash.  Every random tail is built from it, so a
 # change to any of these changes the output of every seeded family.
@@ -20,10 +22,23 @@ def test_cell_values_are_pinned():
         assert row_digits(seed, row, range(col, col + 1), 10) == str(value % 10)
 
 
-@pytest.mark.parametrize("seed", [0, 7, -3, 2**70 + 3])
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1, 2**70 + 3])
 def test_row_digits_match_the_cell_functions(seed):
-    for row in range(1, 30):
-        cols = range(row + 1, row + 60)
-        for radix in (2, 10):
+    # Packed lanes, blocks of columns and the cached table of each width all
+    # meet here, each against one cell_value per cell: row n's tail past its
+    # diagonal, empty and one-column ranges, starts 0 and 1, width 1, ranges
+    # across block boundaries and seeded ranges of up to 2,000 columns.
+    rng = random.Random(seed)
+    ranges = [range(n + 1, n + 60) for n in range(1, 30)]
+    ranges += [range(0, 0), range(1, 1), range(0, 1), range(1, 2), range(5, 6), range(0, 2000),
+               range(1, 2000), range(_BLOCK - 1, _BLOCK + 2), range(0, 2 * _BLOCK + 1)]
+    ranges += [range(*sorted(rng.sample(range(2001), 2))) for _ in range(20)]
+    for radix in (2, 10):
+        for row, cols in enumerate(ranges, start=1):
             assert row_digits(seed, row, cols, radix) == "".join(
                 str(cell_value(seed, row, c) % radix) for c in cols)
+
+
+def test_row_digits_refuse_another_radix():
+    with pytest.raises(ValueError, match="^radix must be 2 or 10, got 3$"):
+        row_digits(0, 1, range(3), 3)
