@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
 
-from .errors import CapExceeded, WorkbenchError
+from .errors import CapExceeded, DomainError, WorkbenchError
 try:  # json.encoder's C encoder, without json's decoder and scanner
     from _json import encode_basestring_ascii
 except ImportError:
@@ -249,7 +249,12 @@ def _cmd_diagonal(args):
 def _parse_elements(text):
     if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        # int() would also take "١", "1_0" and "+3".
+        if not (part.isascii() and part.isdigit()):
+            raise DomainError(f"element {part!r} is not written in the digits 0-9")
+    return tuple(map(int, parts))
 
 
 def _cmd_rank(args):

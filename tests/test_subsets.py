@@ -1,4 +1,6 @@
+import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -272,6 +274,54 @@ def test_rank_is_the_plain_sum_below_its_cap_and_refused_from_it(monkeypatch):
     assert 0 < below < len(subs)
 
 
+def test_rank_walk_matches_the_term_sum():
+    walk = subsets._WALK_STEPS
+    # Gaps (naturals skipped between neighbours) either side of the walk's
+    # reach, each after a leading run 0..k-1 of zero terms and after a
+    # nonzero term.
+    subs = [(c,) for c in (0, 1, 2, walk, 10**6, 2**200)]
+    for k in range(6):
+        run = tuple(range(k))
+        for gap in (0, 1, walk - 1, walk, walk + 1, 5 * walk):
+            first = k + gap
+            subs += [run + (first,), run + (first, first + gap + 1),
+                     run + (first, first + 1, first + 2 + gap)]
+    rng = random.Random(31)
+    for _ in range(300):
+        p = rng.randint(1, 80)
+        gaps = [rng.choice((0, 1, walk - 1, walk, walk + 1, rng.randrange(4 * walk)))
+                for _ in range(p)]
+        subs.append(tuple(itertools.accumulate(g + 1 for g in gaps)))
+    p = UNRANK_P_CAP
+    subs += [tuple(range(3, 3 + p)), tuple(sorted(rng.sample(range(40 * p), p)))]
+    subs += [unrank(rng.randint(1, p), rng.getrandbits(UNRANK_BITS_CAP)).elements
+             for _ in range(8)]
+    for elems in subs:
+        assert rank(FiniteSubset(elems)) == colex_rank(elems), elems
+
+
+def test_rank_computes_a_binomial_only_after_a_zero_term_or_a_long_gap(monkeypatch):
+    calls, real = [], math.comb
+
+    def comb(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(subsets.math, "comb", comb)
+    walk = subsets._WALK_STEPS
+    # One call for the top term's cap check, then one per term not walked to.
+    for elems, walked in (
+        ((5, 6 + walk), 1),  # from C(5, 1) up a gap of walk
+        ((5, 7 + walk), 0),  # a gap of walk + 1
+        ((0, 1, 2, 9), 0),  # zero terms C(0, 1), C(1, 2), C(2, 3), then C(9, 4)
+        (tuple(range(4, 1504)), 1499),
+    ):
+        want = colex_rank(elems)
+        calls.clear()
+        assert rank(FiniteSubset(elems)) == want
+        assert len(calls) == 1 + len(elems) - walked
+
+
 def test_unrank_errors():
     with pytest.raises(OutOfRange):
         unrank(0, 1)
@@ -419,8 +469,15 @@ def test_trusted_construction_matches_the_public_constructor():
     level = [FiniteSubset(tuple(sorted(rng.sample(range(40), rng.randint(0, 8)))))
              for _ in range(30)]
     made += extend_subsets(level, 50)
+    made += dovetail_enumerate(300)
     for s in made:
-        assert s == FiniteSubset(s.elements) and type(s.elements) is tuple
+        twin = FiniteSubset(s.elements)
+        assert s == twin and hash(s) == hash(twin) and repr(s) == repr(twin)
+        assert type(s) is FiniteSubset and type(s.elements) is tuple
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.elements == s.elements
+        with pytest.raises(AttributeError, match="cannot assign to field 'elements'"):
+            s.elements = ()
 
 
 # --- bitmask coding ------------------------------------------------------
