@@ -1,13 +1,16 @@
 """Command-line front end over the diagonal, subsets, density, and chains modules.
 
-Output is byte-deterministic for a fixed argument list (including --seed):
-JSON with two-space indent, rationals rendered as "p/q"; CSV with a header row,
-"\n" line endings and no quoting, each row one join of its cells' _CELLS
-texts.  JSON is json.dumps's text at a two-space indent with _frac as its
-default: _json writes it, but an int-to-int map goes in blocks, one %-format each.
-Output is rendered whole, as a list of chunks, before its first byte is
-written, so a run that fails writes nothing to stdout and creates no --output
-file.  Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
+Output is byte-deterministic for a fixed argument list (including --seed).
+JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
+CSV has a header row, "\n" line endings and no quoting, each row one join of
+its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
+its first byte is written, so a run that fails writes nothing to stdout and
+creates no --output file.  A CSV chunk is one line.  JSON is split by one rule
+(_json_chunks): a non-empty dict gives one chunk per member, its value split
+alike, but an int-to-int map one per _BLOCK members, made by one %-format; an
+iterator, or a non-empty list or tuple not all ints, one per item, each
+rendered whole by _json; anything else is one chunk.  Exit codes: 0 success,
+2 usage or domain error, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def _json(value, indent="\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # _texts inlined: grids render 10**4 small dicts, and the call shows.
+        # Scalar encoders inline: grids render 10**4 small dicts, and a call shows.
         name = encode_basestring_ascii if set(map(type, value)) == {str} else _key
         members = [
             f"{name(k)}: {s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
@@ -118,22 +121,16 @@ def _json(value, indent="\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        sep = "," + inner
         if _ints(value):
-            return "[" + inner + _join_ints(sep, value) + indent + "]"
-        return "[" + inner + sep.join(_texts(value, inner)) + indent + "]"
+            return "[" + inner + _join_ints("," + inner, value) + indent + "]"
+        texts = [s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(texts) + indent + "]"
     return _SCALARS[type(value)](value)
 
 
-def _texts(values, indent):
-    # _json of each value, as values yields it; a scalar's encoder is called
-    # without a _json frame.
-    return (s(v) if (s := _SCALARS.get(type(v))) else _json(v, indent) for v in values)
-
-
-def _list_pieces(value, indent) -> list:
-    """_json(value, indent) as a list of strings, one per item of a list or an
-    iterator (rendered as what it yields), or per _BLOCK members of an int map."""
+def _json_chunks(value, indent="\n") -> list:
+    """_json(value, indent) as a list of strings split by the module's chunk rule,
+    so that no string holds a large payload's text; a top-level one ends in a newline."""
     inner = indent + "  "
     sep = "," + inner
     if isinstance(value, dict) and _ints(value) and _ints(value.values()):
@@ -142,34 +139,23 @@ def _list_pieces(value, indent) -> list:
         while block := tuple(chain.from_iterable(islice(items, _BLOCK))):
             out += (sep.join(['"%d": %d'] * (len(block) // 2)) % block, sep)
         out[-1] = indent + "}"
-        return out
-    if not hasattr(value, "__next__") and (
-            not isinstance(value, (list, tuple)) or not value or _ints(value)):
-        return [_json(value, indent)]
-    out = ["[" + inner]
-    for text in _texts(value, inner):
-        out += (text, sep)
-    if len(out) == 1:  # an iterator that yielded nothing
-        return ["[]"]
-    out[-1] = indent + "]"
-    return out
-
-
-def _json_chunks(payload) -> list:
-    """The JSON text of payload and a closing newline, as a list of strings.
-
-    A top-level list, and each list, iterator or int map value of a top-level
-    dict, is split into one string per item (per _BLOCK members of a map): no
-    string holds a large payload's text, and no iterator's items sit beside it.
-    """
-    if not isinstance(payload, dict) or not payload:
-        return [*_list_pieces(payload, "\n"), "\n"]
-    out = ["{\n  "]
-    for key, value in payload.items():
-        out.append(_key(key) + ": ")
-        out += _list_pieces(value, "\n  ")
-        out.append(",\n  ")
-    out[-1] = "\n}\n"
+    elif isinstance(value, dict) and value:
+        out = ["{" + inner]
+        for key, item in value.items():
+            out.append(_key(key) + ": ")
+            out += _json_chunks(item, inner)  # no tuple copy of an iterator's chunks
+            out.append(sep)
+        out[-1] = indent + "}"
+    elif hasattr(value, "__next__") or (
+            isinstance(value, (list, tuple)) and value and not _ints(value)):
+        out = ["[" + inner]
+        for item in value:
+            out += (_json(item, inner), sep)
+        out[-1] = indent + "]" if len(out) > 1 else "[]"  # "[]": an empty iterator
+    else:
+        out = [_json(value, indent)]
+    if indent == "\n":
+        out.append("\n")
     return out
 
 
@@ -191,12 +177,12 @@ def _csv_chunks(header, rows) -> list:
 
 def _lines(path):
     """The stripped, non-blank lines of a file of at most FILE_CAP characters,
-    read at once; runs of line feeds fold to one, so blank lines hold nothing."""
+    read at once; lines of only whitespace fold away, so they hold nothing."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read(FILE_CAP + 1)
     if len(text) > FILE_CAP:
         raise CapExceeded(f"file longer than {FILE_CAP} characters")
-    return filter(None, map(str.strip, re.sub("\n\n+", "\n", text).split("\n")))
+    return filter(None, map(str.strip, re.sub(r"\n\s*(?=\n)", "", text).split("\n")))
 
 
 def _cmd_diagonal(args):
@@ -324,7 +310,7 @@ def _cmd_rho(args):
     a = density.PhiFormula(args.a)
     b = density.PhiFormula(args.b)
     if args.schedule is not None:
-        schedule = tuple(int(part) for part in args.schedule.split(","))
+        schedule = _parse_elements(args.schedule)
     else:
         schedule = density.default_schedule(a, b)
     est = density.rho_limit(a, b, schedule)

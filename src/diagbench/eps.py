@@ -23,13 +23,10 @@ _TEXTS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _canonical(preperiod: tuple[int, ...], period: tuple[int, ...]):
-    # Reduce the period to its primitive root: the shortest prefix whose
-    # repeats spell it, tried over the divisors of its length in ascending
-    # order, those up to isqrt(n) and then their cofactors.
+    # Reduce the period to its primitive root.
     n = len(period)
-    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    for d in itertools.chain(low, [n // d for d in reversed(low)]):
-        if period[:d] * (n // d) == period:
+    for d in range(1, n + 1):
+        if n % d == 0 and period[:d] * (n // d) == period:
             period = period[:d]
             break
     # Absorb preperiod digits that merely repeat the period boundary: count

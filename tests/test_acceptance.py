@@ -679,6 +679,20 @@ def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
     assert '"scan_depth": 2,' in out.read_text()
 
 
+def test_a_file_of_whitespace_lines_at_its_cap_fits_the_budget(tmp_path):
+    # FILE_CAP characters, all lines of one space but two rows: about 0.1 s and
+    # 38 MB as a child on 2 CPUs, as for bare blank lines.  A fold of bare line
+    # feeds alone held one list entry per such line: 0.5 s and 86 MB.
+    rows = tmp_path / "rows.txt"
+    rows.write_text(" \n" * ((FILE_CAP - 6) // 2) + "12\n34\n")
+    assert rows.stat().st_size == FILE_CAP
+    out = tmp_path / "report.json"
+    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
+    assert wall < 10, f"took {wall:.2f}s, budget 10s"
+    assert peak_mb < 48, f"peak RSS {peak_mb:.0f} MB, budget 48 MB"
+    assert '"scan_depth": 2,' in out.read_text()
+
+
 def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
     # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs
     # (Python 3.11): about 0.6-0.7 s and 107-114 MB for each of these families.

@@ -356,6 +356,24 @@ def test_figure2_csv(capsys):
         assert line.split(",")[3].startswith("0.6")
 
 
+@pytest.mark.parametrize("part", ["1_0", "+10", "\u0661\u0660", "-1", "1.0", ""])
+def test_schedule_points_are_ascii_digits(capsys, part):
+    # The rule of subsets rank --elements: int() would take "1_0", "+10" and "١٠".
+    code, out, err = run(capsys, "density", "rho", "--a", "even", "--b", "nat",
+                         "--schedule", f"5,{part},20,40")
+    assert code == 2 and out == ""
+    assert err == f"error: DomainError: element {part!r} is not written in the digits 0-9\n"
+
+
+def test_schedule_may_carry_spaces_and_an_empty_one_is_too_short(capsys):
+    argv = ("density", "rho", "--a", "even", "--b", "nat", "--format", "csv", "--schedule")
+    assert run(capsys, *argv, " 5, 10 ,20,40\t")[:2] == run(capsys, *argv, "5,10,20,40")[:2]
+    for schedule in ("", "  "):
+        code, out, err = run(capsys, *argv, schedule)
+        assert code == 2 and out == ""
+        assert err == "error: BadSchedule: need at least 4 sample points\n"
+
+
 def test_exponential_pairs_print_at_the_cap_and_exit_2_above_it(capsys, monkeypatch):
     names = [f.value for f in density.PhiFormula]
     pairs = [(a, b) for a in names for b in names if {a, b} & {"real", "complex"}]
@@ -597,7 +615,7 @@ def test_int_maps_render_in_blocks_equal_to_json_dumps():
         payload = {"first_difference": first, "n": len(first)}
         chunks = cli._json_chunks(payload)
         assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
-        assert len(cli._list_pieces(first, "\n  ")) == 2 * -(-len(first) // block) + 1
+        assert len(cli._json_chunks(first, "\n  ")) == 2 * -(-len(first) // block) + 1
 
 
 def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
@@ -607,7 +625,28 @@ def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
                   {1: 1.5}, {1: 2, 3: 4.0}, {1.5: 2}):
         payload = {"first_difference": first}
         assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
-        assert cli._list_pieces(first, "\n  ") == [cli._json(first, "\n  ")]
+        chunks = cli._json_chunks(first, "\n  ")
+        assert "".join(chunks) == cli._json(first, "\n  ")
+        assert len(chunks) == 3 * len(first) + 1  # an opening, then a key, value and comma each
+
+
+def test_chunk_counts_follow_the_rule():
+    # Items of a list stay whole, nested dicts or not; a dict's members split
+    # to any depth; an empty iterator is one "[]".
+    items = [{"a": [1, "x"]}, [True, None], "s", 5, (1, 2)]
+    chunks = cli._json_chunks(items)
+    assert len(chunks) == 2 * len(items) + 2  # an opening, item and comma each, a newline
+    assert chunks[1:-2:2] == [cli._json(item, "\n  ") for item in items]
+    c = {"kind": "converges", "limit": Fraction(1, 2), "tolerance": Fraction(1, 100)}
+    payload = {"pair": "x/y", "classification": c, "annotations": {"P": {"Q": "R"}}}
+    chunks = cli._json_chunks(payload)
+    # An opening; per member a key, its value's chunks and a comma; a newline.
+    assert len(chunks) == 1 + (2 + 1) + (2 + 1 + 3 * 3) + (2 + 1 + (2 + 1 + 3)) + 1
+    assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
+    assert cli._json_chunks(iter(())) == ["[]", "\n"]
+    assert cli._json_chunks({"subsets": iter(())}) == ["{\n  ", '"subsets": ', "[]", "\n}", "\n"]
+    for scalar in ([], {}, [1, 2], "x", None):
+        assert cli._json_chunks(scalar, "\n  ") == [cli._json(scalar, "\n  ")]
 
 
 def test_no_chunk_of_a_scan_sized_int_map_exceeds_two_blocks():
