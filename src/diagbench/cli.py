@@ -1,6 +1,10 @@
 """Command-line front end over the diagonal, subsets, density, and chains modules.
 
 Output is byte-deterministic for a fixed argument list (including --seed).
+Each _cmd_* handler returns data, a JSON payload or under --format csv a
+(header, rows) pair, which main encodes once, by _json_chunks or _csv_chunks;
+a record list that grows with the input (subsets, array rows, grid cells,
+verdicts) comes as an iterator, each record dropped once its text is made.
 JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
 CSV has a header row, "\n" line endings and no quoting, each row one join of
 its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
@@ -40,10 +44,9 @@ _PRESETS = ("biconditional-contra", "biconditional-target", "cda", "halfway-cont
 # random-tail worst case still fits the acceptance budget.
 CSV_CELL_CAP = 10**6
 
-
 # Chains in one `analyze --script` file, whose statements in all stay within
-# chains.CHAIN_CAP.  At both caps the CLI child takes about 0.9 s and 44 MB on
-# a 2-vCPU VM, within a budget of 5 s and 256 MB.
+# chains.CHAIN_CAP.  At both caps the CLI child takes about 0.5 s and 27 MB on
+# a 2-vCPU VM, within a budget of 5 s and 40 MB.
 SCRIPT_CAP = 2 * 10**4
 
 # Characters in one --explicit or --script file, as read.  A file at both
@@ -52,9 +55,6 @@ FILE_CAP = 12 * 10**6
 
 _BLOCK = 4096  # members of an int-to-int map per JSON chunk, made by one %-format
 
-
-# Each _cmd_* handler returns data: a JSON payload, or a (header, rows) pair
-# under --format csv.  main encodes it once, with _json_chunks or _csv_chunks.
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
@@ -211,13 +211,8 @@ def _cmd_diagonal(args):
         candidate = eps.EventuallyPeriodicString.parse(candidate, spec.radix)
     report = diagonal.membership_scan(spec, candidate, args.depth, args.prefix)
     if args.format == "csv":
-        if spec.is_family:
-            rows = [
-                (n, diagonal.row(spec, n, width)) for n in range(1, args.depth + 1)
-            ]
-        else:
-            rows = list(enumerate(spec.rows, start=1))
-        return ("n", "digits"), rows
+        rows = ((n, diagonal.row(spec, n, width)) for n in range(1, args.depth + 1))
+        return ("n", "digits"), rows if spec.is_family else enumerate(spec.rows, start=1)
     anti = report.antidiagonal
     return {
         "antidiagonal": (
@@ -339,10 +334,8 @@ def _cmd_grid(args):
         return {
             "n": grid.n,
             "bold_count": grid.bold_count,
-            "cells": [
-                {"a": a, "b": b, "in_unit": unit, "lowest_terms": low}
-                for a, b, unit, low in grid.cells
-            ],
+            "cells": ({"a": a, "b": b, "in_unit": unit, "lowest_terms": low}
+                      for a, b, unit, low in grid.cells),
         }
     return ("a", "b", "in_unit", "lowest_terms"), grid.cells
 
@@ -383,7 +376,7 @@ def _cmd_analyze(args):
         if statements > chains.CHAIN_CAP:
             raise CapExceeded(f"script of more than {chains.CHAIN_CAP} statements")
         lines.append(line)
-    return [_verdict_payload(chains.parse_chain(line)) for line in lines]
+    return (_verdict_payload(chains.parse_chain(line)) for line in lines)
 
 
 def _cmd_preset(args):
@@ -393,88 +386,95 @@ def _cmd_preset(args):
 
 # ------------------------------------------------------------------- wiring
 
-def _add_output(p, func, *formats):
-    """Add --format (default: the first of formats) and --output; run func."""
-    p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--output", default=None, help="write here instead of stdout")
-    p.set_defaults(func=func)
+# The command tree.  A name maps to (help, leaves) for a group, or to (help,
+# handler, formats, *arguments) for a leaf.  An argument is (name, add_argument's
+# keywords), or a tuple of those of which a call must give one.
+_TREE = {
+    "diagonal": ("scan an array for a candidate string", _cmd_diagonal, ("json", "csv"),
+                 (("--family", dict(choices=_FAMILIES)),
+                  ("--explicit", dict(metavar="FILE", help="file of digit rows"))),
+                 ("--depth", dict(type=int, default=100, help="rows to scan")),
+                 ("--prefix", dict(type=int, help="comparison window")),
+                 ("--candidate", dict(help="digits or PRE(PERIOD)")),
+                 ("--seed", dict(type=int, default=0)),
+                 ("--antidiag", dict(help="decimal stream PRE(PERIOD)")),
+                 ("--randomize-subdiagonal", dict(action="store_true"))),
+    "subsets": ("binomial tables and subset enumeration", {
+        "rank": ("colex rank of a finite subset", _cmd_rank, ("json",),
+                 ("--elements", dict(required=True, help="comma-separated naturals"))),
+        "unrank": ("finite subset from cardinality and rank", _cmd_unrank, ("json",),
+                   ("--p", dict(type=int, required=True)), ("--r", dict(type=int, required=True))),
+        "dovetail": ("stage-ordered subset enumeration", _cmd_dovetail, ("csv", "json"),
+                     ("--count", dict(type=int, default=20))),
+        "figure1": ("coefficient and ratio series for even n", _cmd_figure1, ("csv", "json"),
+                    ("--n", dict(type=int, default=40))),
+        "table1": ("closed-form ratio rows at even n", _cmd_table1, ("csv", "json"),
+                   ("--n", dict(type=int, required=True)),
+                   ("--labels", dict(help="subset of rows, comma-separated"))),
+    }),
+    "density": ("count-formula ratios and the fraction grid", {
+        "rho": ("ratio of two count formulas over a schedule", _cmd_rho, ("json", "csv"),
+                ("--a", dict(choices=_FORMULAS, required=True)),
+                ("--b", dict(choices=_FORMULAS, required=True)),
+                ("--schedule", dict(help="comma-separated sample points"))),
+        "figure2": ("correction factor over a geometric ramp", _cmd_figure2, ("csv", "json"),
+                    ("--max", dict(type=int, default=100000))),
+        "grid": ("fraction grid with lowest-terms flags", _cmd_grid, ("csv", "json"),
+                 ("--n", dict(type=int, required=True))),
+    }),
+    "chains": ("classify contradiction chains", {
+        "analyze": ("judge a chain expression or script", _cmd_analyze, ("json",),
+                    (("--expr", dict(help="a single chain expression")),
+                     ("--script", dict(help="file with one chain per line, # comments")))),
+        "preset": ("judge a built-in chain", _cmd_preset, ("json",),
+                   ("name", dict(choices=_PRESETS))),
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Formatter(argparse.HelpFormatter):
+    def __init__(self, prog):
+        # shutil.get_terminal_size().columns - 2 by its rule, without importing shutil
+        columns = 0
+        with contextlib.suppress(KeyError, ValueError):
+            columns = max(int(os.environ["COLUMNS"]), 0)
+        if not columns:
+            with contextlib.suppress(AttributeError, ValueError, OSError):
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
+def _build(p, children, argv, dest="command"):
+    """Give p a subparser for each of children, bare but for its name and help,
+    and fill the one that argv[0] names, or every one if it names none."""
+    sub = p.add_subparsers(dest=dest, required=True)
+    named = bool(argv) and argv[0] in children
+    for name, (text, *body) in children.items():
+        q = sub.add_parser(name, help=text, formatter_class=_Formatter)
+        if named and name != argv[0]:
+            continue
+        if type(body[0]) is dict:
+            _build(q, body[0], argv[1:] if named else (), "subcommand")
+            continue
+        func, formats, *arguments = body
+        for arg in arguments:
+            one_of = type(arg[0]) is tuple
+            to = q.add_mutually_exclusive_group(required=True) if one_of else q
+            for arg_name, options in arg if one_of else (arg,):
+                to.add_argument(arg_name, **options)
+        q.add_argument("--format", choices=formats, default=formats[0])
+        q.add_argument("--output", help="write here instead of stdout")
+        q.set_defaults(func=func)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the branch that argv names (a command, and a group's leaf),
+    or of the whole tree if it names none: its --help and usage errors read alike."""
     parser = argparse.ArgumentParser(
-        prog="diagbench",
-        description="exact-arithmetic workbench for diagonal scans, subset "
-        "enumeration, density ratios, and inference chains",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    p = top.add_parser("diagonal", help="scan an array for a candidate string")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--family", choices=_FAMILIES)
-    grp.add_argument("--explicit", metavar="FILE", help="file of digit rows")
-    p.add_argument("--depth", type=int, default=100, help="rows to scan")
-    p.add_argument("--prefix", type=int, default=None, help="comparison window")
-    p.add_argument("--candidate", default=None, help="digits or PRE(PERIOD)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--antidiag", default=None, help="decimal stream PRE(PERIOD)")
-    p.add_argument("--randomize-subdiagonal", action="store_true")
-    _add_output(p, _cmd_diagonal, "json", "csv")
-
-    sub = top.add_parser("subsets", help="binomial tables and subset enumeration")
-    ss = sub.add_subparsers(dest="subcommand", required=True)
-
-    p = ss.add_parser("rank", help="colex rank of a finite subset")
-    p.add_argument("--elements", required=True, help="comma-separated naturals")
-    _add_output(p, _cmd_rank, "json")
-
-    p = ss.add_parser("unrank", help="finite subset from cardinality and rank")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_output(p, _cmd_unrank, "json")
-
-    p = ss.add_parser("dovetail", help="stage-ordered subset enumeration")
-    p.add_argument("--count", type=int, default=20)
-    _add_output(p, _cmd_dovetail, "csv", "json")
-
-    p = ss.add_parser("figure1", help="coefficient and ratio series for even n")
-    p.add_argument("--n", type=int, default=40)
-    _add_output(p, _cmd_figure1, "csv", "json")
-
-    p = ss.add_parser("table1", help="closed-form ratio rows at even n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labels", default=None, help="subset of rows, comma-separated")
-    _add_output(p, _cmd_table1, "csv", "json")
-
-    den = top.add_parser("density", help="count-formula ratios and the fraction grid")
-    ds = den.add_subparsers(dest="subcommand", required=True)
-
-    p = ds.add_parser("rho", help="ratio of two count formulas over a schedule")
-    p.add_argument("--a", choices=_FORMULAS, required=True)
-    p.add_argument("--b", choices=_FORMULAS, required=True)
-    p.add_argument("--schedule", default=None, help="comma-separated sample points")
-    _add_output(p, _cmd_rho, "json", "csv")
-
-    p = ds.add_parser("figure2", help="correction factor over a geometric ramp")
-    p.add_argument("--max", type=int, default=100000)
-    _add_output(p, _cmd_figure2, "csv", "json")
-
-    p = ds.add_parser("grid", help="fraction grid with lowest-terms flags")
-    p.add_argument("--n", type=int, required=True)
-    _add_output(p, _cmd_grid, "csv", "json")
-
-    ch = top.add_parser("chains", help="classify contradiction chains")
-    cs = ch.add_subparsers(dest="subcommand", required=True)
-
-    p = cs.add_parser("analyze", help="judge a chain expression or script")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--expr", help="a single chain expression")
-    grp.add_argument("--script", help="file with one chain per line, # comments")
-    _add_output(p, _cmd_analyze, "json")
-
-    p = cs.add_parser("preset", help="judge a built-in chain")
-    p.add_argument("name", choices=_PRESETS)
-    _add_output(p, _cmd_preset, "json")
-
+        prog="diagbench", formatter_class=_Formatter,
+        description="exact-arithmetic workbench for diagonal scans, subset enumeration, "
+        "density ratios, and inference chains")
+    _build(parser, _TREE, list(argv))
     return parser
 
 
@@ -507,7 +507,7 @@ def _write_output(path, chunks):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

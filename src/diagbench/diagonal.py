@@ -35,7 +35,7 @@ from .record import Record
 UNIVERSE_CAP = {2: 23, 10: 7}
 SCAN_CAP = 10**6
 # An explicit array holds at most SCAN_CAP rows and this many cells.  At both
-# caps its CLI CSV dump takes about 2 s and 0.3 GB on a 2-vCPU VM.
+# caps its CLI CSV dump takes about 1.2 s and 170 MB on a 2-vCPU VM.
 EXPLICIT_CELL_CAP = 10**7
 
 

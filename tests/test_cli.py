@@ -7,6 +7,7 @@ import os
 import pathlib
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -459,6 +460,26 @@ def test_a_script_over_its_cap_starts_no_verdict(tmp_path, capsys, monkeypatch, 
     assert err == f"error: CapExceeded: {message}\n"
 
 
+def test_a_script_failing_on_its_last_chain_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Verdicts are made while the output is rendered, not in the handler, so
+    # the last chain fails after the others are judged and before any write.
+    judged, judge = [], chains.verdict
+
+    def counted(ast):
+        judged.append(ast)
+        return judge(ast)
+
+    monkeypatch.setattr(chains, "verdict", counted)
+    script = tmp_path / "chains.txt"
+    script.write_text("~P => Q1 => CONTRA\n" * 3 + "~P => => CONTRA\n", encoding="utf-8")
+    target = tmp_path / "verdicts.json"
+    code, out, err = run(capsys, "chains", "analyze", "--script", str(script),
+                         "--output", str(target))
+    assert code == 2 and out == "" and len(judged) == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: ChainSyntaxError: ")
+    assert list(tmp_path.iterdir()) == [script]
+
+
 # Every subsets, density and chains subcommand at two or three sizes, with the
 # default format and with each format it accepts.  Like GOLDEN_SHA256, the
 # digest pins the exact bytes; change it only with a deliberate output change.
@@ -566,6 +587,61 @@ def test_help_and_usage_errors_match_the_golden_digest(capsys, monkeypatch):
         assert code == (0 if "--help" in argv else 2), argv
         digest.update(f"{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == HELP_GOLDEN_SHA256
+
+
+# The 15 parsers, by the argv that reaches each.  A call builds only the branch
+# its argv names, so each parser is checked as a branch against the whole tree.
+PARSER_GROUPS = ((), ("subsets",), ("density",), ("chains",))
+PARSER_LEAVES = (
+    ("diagonal",),
+    *(("subsets", leaf) for leaf in ("rank", "unrank", "dovetail", "figure1", "table1")),
+    *(("density", leaf) for leaf in ("rho", "figure2", "grid")),
+    *(("chains", leaf) for leaf in ("analyze", "preset")),
+)
+
+
+def parse_exit(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("path", PARSER_GROUPS + PARSER_LEAVES,
+                         ids=lambda path: " ".join(path) or "top")
+def test_a_parser_built_as_a_branch_reads_as_in_the_whole_tree(capsys, path):
+    usage_error = () if path in PARSER_GROUPS else ("--format", "xml")
+    for argv in ([*path, "--help"], [*path, *usage_error]):
+        branch = parse_exit(capsys, cli.build_parser(argv), argv)
+        assert branch == parse_exit(capsys, cli.build_parser(), argv), argv
+        code, out, err = branch
+        assert code == (0 if "--help" in argv else 2) and "usage: diagbench" in out + err
+    if path in PARSER_LEAVES:  # every other leaf is left bare, without its options
+        branch = cli.build_parser(path)
+        for other in set(PARSER_LEAVES) - {path}:
+            assert "--output" not in parse_exit(capsys, branch, [*other, "--help"])[1], other
+
+
+def test_a_branch_keeps_every_name_for_the_usage_of_its_parents(capsys):
+    # Arguments left over after a leaf has parsed are refused by the top parser.
+    for argv in (["diagonal", "--family", "alt-24", "extra"], ["subsets", "dovetail", "--bogus"],
+                 ["chains", "preset", "cda", "extra"]):
+        branch = parse_exit(capsys, cli.build_parser(argv), argv)
+        assert branch == parse_exit(capsys, cli.build_parser(), argv), argv
+        assert "{diagonal,subsets,density,chains}" in branch[2]
+
+
+@pytest.mark.parametrize("columns", [None, "", "0", "-3", "abc", "120"])
+def test_the_help_width_follows_the_terminal_size_rule(monkeypatch, columns):
+    # The CLI's formatter finds this width without importing shutil.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    with open(os.devnull, "w", encoding="utf-8") as null:  # stdout not a terminal
+        monkeypatch.setattr(sys, "__stdout__", null)
+        want = shutil.get_terminal_size().columns - 2
+        assert cli._Formatter("diagbench")._width == want
+    assert want == (118 if columns == "120" else 78)
 
 
 # --- the JSON encoder -------------------------------------------------------------
@@ -1048,8 +1124,9 @@ def test_module_entry_point():
 
 # Modules a CLI call should load only when it needs them: dataclasses alone
 # pulls in inspect, ast, dis and tokenize, each kernel costs a compile where
-# bytecode is not cached, and the CLI never decodes JSON.
-WATCHED = {"dataclasses", "inspect", "typing", "json.decoder",
+# bytecode is not cached, the CLI never decodes JSON, and argparse's help
+# formatter imports shutil, with bz2, lzma and fnmatch, only to find its width.
+WATCHED = {"dataclasses", "inspect", "typing", "json.decoder", "shutil",
            *(f"diagbench.{name}" for name in
              ("chains", "density", "diagonal", "subsets", "eps", "rng"))}
 
