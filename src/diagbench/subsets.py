@@ -3,15 +3,15 @@
 Everything is arbitrary-precision: coefficients are ints (figure1's row built
 by the ratio law C(n, p+1) = C(n, p)(n-p)/(p+1)), ratios fractions.Fraction.
 Finite p-subsets are ordered colexicographically, which gives a closed-form
-rank/unrank bijection with the naturals for each p; rank steps up and unrank
-steps down between neighbouring binomials, computing one afresh only where
-the walk would be long.  Just under RANK_CAP, 1,500 consecutive elements rank
-in about 5 ms in process, 1,500 elements 271 apart (a fresh binomial each) in
-about 0.4 s.  A stage-based
-dovetailing sweep enumerates all finite subsets without repeats: it keeps one
-current p-subset per cardinality, with the index of it to grow next
-(Algorithm T's pointer), and steps each to its colex successor once per
-stage, so it never unranks.
+rank/unrank bijection with the naturals for each p.  rank jumps from each
+term to the next by one ratio-law step, computing a term afresh only where
+the jump's products would not be smaller than the term; unrank walks down
+between neighbouring binomials.  Just under RANK_CAP, in process, 1,500
+consecutive elements rank in about 5 ms and 1,500 elements 271 apart in about
+0.2 s.  A stage-based dovetailing sweep enumerates all finite subsets without
+repeats: it keeps one current p-subset per cardinality, with the index of it
+to grow next (Algorithm T's pointer), and steps each to its colex successor
+once per stage, so it never unranks.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ RANK_CAP = 10**4300
 # unrank's cardinality and rank size; unrank(1500, 2**2048 - 1) takes a few ms.
 UNRANK_P_CAP = 1500
 UNRANK_BITS_CAP = 2048
-# Longest walk between neighbouring binomials: past it unrank bisects, and
-# rank computes the term afresh.
+# Longest walk down a column in unrank: past it unrank bisects.
 _WALK_STEPS = 32
 
 
@@ -201,11 +200,12 @@ def figure1_data(n: int):
 def rank(s: FiniteSubset) -> int:
     """Colexicographic rank: sum of C(c_i, i) over the i th smallest element.
 
-    Each term is reached from the one before by the ratio law, first
-    C(c + 1, i + 1) = C(c, i) (c + 1) / (i + 1), then up its column,
-    C(x + 1, i) = C(x, i) (x + 1) / (x + 1 - i); a fresh binomial is computed
-    only after a zero term or for a gap longer than _WALK_STEPS.  A rank at or
-    above RANK_CAP is refused, before the sum if its top term is.
+    Each term is reached from the one before, C(x, i - 1), by one ratio-law
+    jump across the gap g = c - x, C(c, i) = C(x, i - 1) perm(c, g) /
+    (i perm(c - i, g - 1)), when those products (under g bit_length(c) bits)
+    are smaller than the term it starts from; otherwise, and after a zero term,
+    the term is computed afresh.  A rank at or above RANK_CAP is refused,
+    before the sum if its top term is.
     """
     elems = s.elements
     p = len(elems)
@@ -213,19 +213,17 @@ def rank(s: FiniteSubset) -> int:
     # Past both checks each term is below the rank < C(c_p + 1, p), so the sum is cheap.
     if not p or (p * (elems[-1].bit_length() - 1 - p.bit_length()) < RANK_CAP.bit_length()
                  and math.comb(elems[-1], p) < RANK_CAP):
-        r = value = 0  # value is C(x, i) for the last element x
-        x = -1
+        r = value = x = 0  # value is C(x, i - 1) for the last element x
         for i, c in enumerate(elems, start=1):
-            if value and c - x <= _WALK_STEPS + 1:
-                x += 1
-                value = value * x // i
-                while x < c:
-                    x += 1
-                    value = value * x // (x - i)
+            g = c - x
+            if g * c.bit_length() < value.bit_length():
+                value = value * math.perm(c, g) // (i * math.perm(c - i, g - 1))
             else:
-                value = math.comb(c, i)
-                x = c
+                # Not math.comb: on Python 3.10 it divides at every step, and
+                # C(400000, 1400) takes 1.6 ms this way against 3.5 ms there.
+                value = math.perm(c, i) // math.factorial(i)
             r += value
+            x = c
         if r < RANK_CAP:
             return r
     raise CapExceeded(f"rank of {p} elements at or above cap 10**4300")

@@ -62,7 +62,6 @@ from diagbench.subsets import (
     RANK_CAP,
     UNRANK_BITS_CAP,
     UNRANK_P_CAP,
-    _WALK_STEPS,
     FiniteSubset,
     binomial,
     complement,
@@ -335,23 +334,38 @@ def _top_under_rank_cap(p):
 
 
 def test_rank_just_under_its_cap_fits_the_budget(tmp_path):
-    # 1,500 elements whose rank has 4,300 digits, as children on 2 CPUs.
-    # Consecutive ones are all reached by the ratio-law walk: 0.07-0.15 s
-    # (0.43-0.50 s with a fresh binomial per term).  Spread 271 apart, every
-    # term is a fresh binomial: 0.45-0.57 s.
-    p = 1500
-    top = _top_under_rank_cap(p)
-    dense = tuple(range(top - p + 1, top + 1))
-    gap = top // p
-    sparse = tuple(range(top - (p - 1) * gap, top + 1, gap))
-    assert len(sparse) == p and gap > _WALK_STEPS + 1
+    # Elements whose rank has 4,300 digits, as children on 2 CPUs under Python
+    # 3.10 / 3.11 / 3.12: 1,500 consecutive ones, each term one jump of a gap
+    # of 1, 0.05-0.07 s; 1,500 spread 271 apart, 0.23-0.29 s.  Then the
+    # costliest spread of a sweep over gaps 1..1,000, each with the most
+    # elements that fit, on each version (1,315 x 688 on 3.10, 1,310 x 706 on
+    # 3.11, 1,283 x 830 on 3.12): 0.47-0.51 s on 3.10 and 0.31-0.48 s on the
+    # others.  With math.comb for each term past 33 apart, the spreads took
+    # 1.3-1.8 s on 3.10, whose math.comb divides at every step.
+    sweep = ((1315, 688), (1310, 706), (1283, 830))
     out = tmp_path / "rank.json"
-    for elems, want in ((dense, math.comb(top + 1, p) - 1), (sparse, colex_rank(sparse))):
+    for p, gap in ((1500, 1), (1500, 271), *sweep):
+        top = _top_under_rank_cap(p)
+        elems = tuple(range(top - (p - 1) * gap, top + 1, gap))
+        assert len(elems) == p and elems[0] >= 0
+        if (p, gap) in sweep:  # the most elements that fit this gap
+            assert p * gap > _top_under_rank_cap(p + 1)
+        want = colex_rank(elems)
         wall, _ = _cli_child("subsets", "rank", "--elements", ",".join(map(str, elems)),
                              "--output", out)
-        assert wall < 1, f"took {wall:.2f}s, budget 1s"
+        assert wall < 1, f"{p} elements {gap} apart took {wall:.2f}s, budget 1s"
         got = json.loads(out.read_text(encoding="utf-8"))
         assert got == {"elements": list(elems), "rank": want} and len(str(want)) == 4300
+
+
+def test_rank_across_wide_gaps_computes_each_term_afresh_within_budget():
+    # A jump across a gap of 30,000 multiplies by a product of 30,000 factors:
+    # 272 s for this subset.  Each term computed afresh: about 0.01 s.
+    elems = tuple(range(0, 300 * 30000, 30000))
+    budget = Budget(0.1)
+    r = rank(FiniteSubset(elems))
+    budget.check()
+    assert r == colex_rank(elems)
 
 
 def test_density_suite():
@@ -573,10 +587,20 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
 
 
 def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
-    # SCAN_CAP rows of 10 digits, EXPLICIT_CELL_CAP cells, dumped whole as
-    # CSV: about 1.2 s and 169 MB on a 2-vCPU VM.
+    # SCAN_CAP rows of 10 digits, EXPLICIT_CELL_CAP cells, as children on a
+    # 2-vCPU VM.  Scanned 100 deep as JSON: 0.40-0.69 s and 90-95 MB (Python
+    # 3.10-3.12).  Dumped whole as CSV: about 1.2 s and 169 MB.
     rows = tmp_path / "rows.txt"
     rows.write_text("".join(f"{n:010d}\n" for n in range(SCAN_CAP)))
+    out = tmp_path / "rows.json"
+    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
+    assert wall < 10, f"JSON took {wall:.2f}s, budget 10s"
+    assert peak_mb < 128, f"JSON peak RSS {peak_mb:.0f} MB, budget 128 MB"
+    assert json.loads(out.read_text(encoding="utf-8")) == {
+        "antidiagonal": "5555555555", "cover": str(Fraction(10, SCAN_CAP)),
+        "scan_depth": 100, "found_at": None,
+        "first_difference": {str(n): 1 for n in range(1, 101)},
+    }
     out = tmp_path / "rows.csv"
     wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--format", "csv", "--output", out)
     assert wall < 10, f"took {wall:.2f}s, budget 10s"

@@ -274,22 +274,34 @@ def test_rank_is_the_plain_sum_below_its_cap_and_refused_from_it(monkeypatch):
     assert 0 < below < len(subs)
 
 
+def _longest_jump(x, term):
+    # The largest gap g from the element x that rank jumps, by its size rule
+    # g * bit_length(x + g) < bit_length(term), where term = C(x, i - 1).
+    g = 0
+    while (g + 1) * (x + g + 1).bit_length() < term.bit_length():
+        g += 1
+    return g
+
+
 def test_rank_walk_matches_the_term_sum():
-    walk = subsets._WALK_STEPS
-    # Gaps (naturals skipped between neighbours) either side of the walk's
-    # reach, each after a leading run 0..k-1 of zero terms and after a
-    # nonzero term.
-    subs = [(c,) for c in (0, 1, 2, walk, 10**6, 2**200)]
+    # Gaps either side of the jump's size rule, each after a leading run
+    # 0..k-1 of zero terms and 1, 8 or 60 nonzero terms, then once more after
+    # the term that the gap reached.
+    subs = [(c,) for c in (0, 1, 2, 32, 10**6, 2**200)]
     for k in range(6):
         run = tuple(range(k))
-        for gap in (0, 1, walk - 1, walk, walk + 1, 5 * walk):
-            first = k + gap
-            subs += [run + (first,), run + (first, first + gap + 1),
-                     run + (first, first + 1, first + 2 + gap)]
+        for start, m in ((k, 1), (k + 3, 8), (k + 900, 60), (2**64, 8)):
+            prefix = run + tuple(range(start, start + m))
+            x = prefix[-1]
+            edge = _longest_jump(x, math.comb(x, len(prefix)))
+            for g in {1, 2, edge - 1, edge, edge + 1, edge + 2, 5 * edge + 7} - {0, -1}:
+                subs.append(prefix + (x + g,))
+                after = _longest_jump(x + g, math.comb(x + g, len(prefix) + 1))
+                subs += [prefix + (x + g, x + g + h) for h in {after, after + 1} - {0}]
     rng = random.Random(31)
     for _ in range(300):
         p = rng.randint(1, 80)
-        gaps = [rng.choice((0, 1, walk - 1, walk, walk + 1, rng.randrange(4 * walk)))
+        gaps = [rng.choice((0, 1, rng.randrange(64), rng.randrange(4000)))
                 for _ in range(p)]
         subs.append(tuple(itertools.accumulate(g + 1 for g in gaps)))
     p = UNRANK_P_CAP
@@ -301,25 +313,34 @@ def test_rank_walk_matches_the_term_sum():
 
 
 def test_rank_computes_a_binomial_only_after_a_zero_term_or_a_long_gap(monkeypatch):
-    calls, real = [], math.comb
+    combs, fresh, real_comb, real_factorial = [], [], math.comb, math.factorial
 
     def comb(n, k):
-        calls.append((n, k))
-        return real(n, k)
+        combs.append((n, k))
+        return real_comb(n, k)
+
+    def factorial(n):
+        fresh.append(n)
+        return real_factorial(n)
 
     monkeypatch.setattr(subsets.math, "comb", comb)
-    walk = subsets._WALK_STEPS
-    # One call for the top term's cap check, then one per term not walked to.
-    for elems, walked in (
-        ((5, 6 + walk), 1),  # from C(5, 1) up a gap of walk
-        ((5, 7 + walk), 0),  # a gap of walk + 1
-        ((0, 1, 2, 9), 0),  # zero terms C(0, 1), C(1, 2), C(2, 3), then C(9, 4)
-        (tuple(range(4, 1504)), 1499),
+    monkeypatch.setattr(subsets.math, "factorial", factorial)
+    a = 2**40
+    # One math.comb for the top term's cap check, then one fresh term (one
+    # math.factorial) for each term that the jump does not reach.
+    for elems, want_fresh in (
+        ((0, 1, 2, 9), 4),  # zero terms C(0, 1), C(1, 2), C(2, 3), then C(9, 4)
+        ((5, 38), 2),  # C(5, 1) has 3 bits, fewer than the jump's 33 * 6
+        ((a, a + 1, a + 2), 2),  # C(a + 1, 2) has 80 bits: a gap of 1 (41 bits) jumps
+        ((a, a + 1, a + 3), 3),  # and a gap of 2 (82 bits) does not
+        (tuple(range(4, 1504)), 2),  # C(4, 1) and C(5, 2), then each term jumps
+        (tuple(range(0, 300 * 30000, 30000)), 300),  # every gap too wide to jump
     ):
         want = colex_rank(elems)
-        calls.clear()
+        combs.clear()
+        fresh.clear()
         assert rank(FiniteSubset(elems)) == want
-        assert len(calls) == 1 + len(elems) - walked
+        assert len(combs) == 1 and len(fresh) == want_fresh
 
 
 def test_unrank_errors():
