@@ -11,7 +11,8 @@ its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
 its first byte is written, so a run that fails writes nothing to stdout and
 creates no --output file.  A CSV chunk is one line.  JSON is split by one rule
 (_json_chunks): a non-empty dict gives one chunk per member, its value split
-alike, but an int-to-int map one per _BLOCK members, made by one %-format; an
+alike, but an int-to-int map, or any non-dict mapping (a family scan's runs,
+ints by construction), one per _BLOCK members, made by one %-format; an
 iterator, or a non-empty list or tuple not all ints, one per item, each
 rendered whole by _json; anything else is one chunk.  Exit codes: 0 success,
 2 usage or domain error, 1 internal failure.
@@ -133,12 +134,13 @@ def _json_chunks(value, indent="\n") -> list:
     so that no string holds a large payload's text; a top-level one ends in a newline."""
     inner = indent + "  "
     sep = "," + inner
-    if isinstance(value, dict) and _ints(value) and _ints(value.values()):
+    if (not isinstance(value, dict) and hasattr(value, "keys")  # runs: ints by construction
+            or isinstance(value, dict) and _ints(value) and _ints(value.values())):
         items = iter(value.items())
         out = ["{" + inner]
         while block := tuple(chain.from_iterable(islice(items, _BLOCK))):
             out += (sep.join(['"%d": %d'] * (len(block) // 2)) % block, sep)
-        out[-1] = indent + "}"
+        out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": empty runs
     elif isinstance(value, dict) and value:
         out = ["{" + inner]
         for key, item in value.items():

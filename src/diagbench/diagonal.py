@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import ItemsView, Mapping
 from enum import Enum
 from fractions import Fraction
 from operator import ne
@@ -156,11 +157,45 @@ class ArraySpec(Record):
         return 10 if any(r.encode().translate(None, b"01") for r in self.rows) else 2
 
 
-class DiagonalReport(Record):  # holds a dict, and so unhashable
+class _Runs(Mapping):
+    """A family scan's first differences, read-only: on keys 1..size, n -> n up to
+    below, then below + 1 -> j, then n -> below + 1; equal to that dict, built in O(1)."""
+
+    def __init__(self, below: int, size: int, j: int | None):
+        self._keys, self._below, self._j = range(1, size + 1), below, j
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __getitem__(self, key):
+        try:  # an int in O(1); any other key by ==, so True and 1.0 find 1 as in a dict
+            n = self._keys.index(key) + 1
+        except ValueError:
+            raise KeyError(key) from None
+        return n if n <= self._below else self._j if n == self._below + 1 else self._below + 1
+
+    def items(self):
+        return _RunItems(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _RunItems(ItemsView):
+    def __iter__(self):  # the three runs at C level, with no getitem per member
+        keys, below, j = self._mapping._keys, self._mapping._below, self._mapping._j
+        return itertools.chain(zip(keys[:below], keys[:below]), zip(keys[below:below + 1], (j,)),
+                               zip(keys[below + 1:], itertools.repeat(below + 1)))
+
+
+class DiagonalReport(Record):  # holds a mapping (a dict, or a family scan's runs): unhashable
     __slots__ = _fields = ("antidiagonal", "cover", "scan_depth", "found_at", "first_difference")
 
     def __init__(self, antidiagonal: EventuallyPeriodicString | str, cover: Fraction,
-                 scan_depth: int, found_at: int | None, first_difference: dict = None):
+                 scan_depth: int, found_at: int | None, first_difference: Mapping = None):
         super().__init__(antidiagonal, cover, scan_depth, found_at,
                          {} if first_difference is None else first_difference)
 
@@ -299,8 +334,7 @@ def _scan_family(spec, candidate, depth, prefix_len):
     # string m needs a digit comparison, from position m on.
     m = candidate.first_difference(anti)
     below = depth if m is None else min(m - 1, depth)
-    diffs = {n: n for n in range(1, below + 1)}
-    found = None
+    found = j = None
     if below < depth:
         if tail is None:  # a random tail has no finite description: the window only
             end = prefix_len
@@ -308,8 +342,6 @@ def _scan_family(spec, candidate, depth, prefix_len):
             end = max(m, len(candidate.preperiod)) + len(candidate.period)
         for j in range(m, end + 1):
             if candidate.digit_at(j) != row_digit(spec, m, j):
-                diffs[m] = j
-                diffs.update(zip(range(m + 1, depth + 1), itertools.repeat(m)))
                 break
         else:
             found = m
@@ -318,7 +350,7 @@ def _scan_family(spec, candidate, depth, prefix_len):
         cover=Fraction(1),
         scan_depth=depth,
         found_at=found,
-        first_difference=diffs,
+        first_difference=_Runs(below, depth if found is None else below, j),
     )
 
 

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections.abc import ValuesView
 from fractions import Fraction
 
 import pytest
@@ -692,6 +693,32 @@ def test_int_maps_render_in_blocks_equal_to_json_dumps():
         chunks = cli._json_chunks(payload)
         assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
         assert len(cli._json_chunks(first, "\n  ")) == 2 * -(-len(first) // block) + 1
+
+
+def test_scan_runs_render_as_their_dict(monkeypatch):
+    # A family scan's map is int-to-int by construction: it takes the block
+    # path unscanned, and renders as json.dumps renders the dict it equals.
+    scan = cli._ints
+
+    def ints(values):
+        assert type(values) not in (diagonal._Runs, ValuesView), "a runs map was scanned"
+        return scan(values)
+
+    monkeypatch.setattr(cli, "_ints", ints)
+    block = cli._BLOCK
+    found_at_1 = diagonal._Runs(0, 0, None)
+    one_run = diagonal._Runs(5, 5, None)
+    shapes = [(0, 3, 2), (5, 9, 7), (0, 2 * block + 1, 2), *(
+        (m - 1, size, m + 3) for m in (block, block + 1) for size in (m, m + 1, 2 * block))]
+    maps = [found_at_1, one_run, *(diagonal._Runs(*shape) for shape in shapes)]
+    for first in maps:
+        payload = {"scan_depth": len(first), "found_at": None, "first_difference": first}
+        want = json.dumps({**payload, "first_difference": dict(first)}, indent=2) + "\n"
+        assert "".join(cli._json_chunks(payload)) == want
+        chunks = cli._json_chunks(first, "\n  ")
+        assert "".join(chunks) == json.dumps(dict(first), indent=2).replace("\n", "\n  ")
+        assert len(chunks) == (2 * -(-len(first) // block) + 1 if first else 1)
+    assert cli._json_chunks(found_at_1) == ["{}", "\n"]
 
 
 def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):

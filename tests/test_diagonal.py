@@ -1,5 +1,6 @@
 import itertools
 import operator
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,9 +14,11 @@ from diagbench.diagonal import (
     EXPLICIT_CELL_CAP,
     SCAN_CAP,
     ArraySpec,
+    DiagonalReport,
     Family,
     FlipPolicy,
     _is_digits,
+    _rule,
     antidiagonal_finite,
     antidiagonal_rule,
     diagonal_cover,
@@ -381,6 +384,7 @@ def test_explicit_scan_finds_the_antidiagonal_late():
     assert report.antidiagonal == "1111"
     assert report.cover == Fraction(1, 4)
     assert sorted(report.first_difference) == list(range(1, 16))
+    assert type(report.first_difference) is dict  # a family scan's is a runs map
     for n, pos in report.first_difference.items():
         r = B4_ROWS[n - 1]
         mismatches = [j for j in range(4) if r[j] != "1111"[j]]
@@ -481,6 +485,81 @@ def test_scan_of_the_antidiagonal_never_finds_it():
         assert report.scan_depth == 300
         assert report.cover == 1
         assert all(report.first_difference[n] == n for n in range(1, 301))
+
+
+def dict_scan(spec, candidate, depth, prefix_len):
+    """(found_at, first_difference) of a family scan with the map built as a dict:
+    n -> n below the candidate's departure m from the antidiagonal, then m -> j
+    and n -> m past it, or n -> n up to m - 1 alone if string m matches."""
+    anti, tail = _rule(spec)
+    m = candidate.first_difference(anti)
+    below = depth if m is None else min(m - 1, depth)
+    diffs = {n: n for n in range(1, below + 1)}
+    if below == depth:
+        return None, diffs
+    end = prefix_len if tail is None else max(m, len(candidate.preperiod)) + len(candidate.period)
+    for j in range(m, end + 1):
+        if candidate.digit_at(j) != row_digit(spec, m, j):
+            diffs[m] = j
+            diffs.update(zip(range(m + 1, depth + 1), itertools.repeat(m)))
+            return None, diffs
+    return m, diffs
+
+
+def answer(mapping, key):
+    try:
+        return mapping[key]
+    except KeyError:
+        return KeyError
+
+
+@pytest.mark.parametrize(
+    "kind,randomize", [(k, False) for k in Family] + [(Family.DECIMAL_29, True)]
+)
+def test_a_family_scan_map_behaves_as_its_dict(kind, randomize):
+    depth, rng = 40, random.Random(f"{kind.value}{randomize}")
+    sp = spec_for(kind, seed=5, randomize=randomize)
+    anti, radix = antidiagonal_rule(sp), sp.radix
+
+    def string(m, length):
+        return tuple(row_digit(sp, m, j) for j in range(1, length + 1))
+
+    candidates = [anti, *(perturbed(anti, at) for at in (1, 17, depth + 9))]
+    for m in (1, 17, depth):  # string m exactly, then string m on 70 digits
+        candidates += [EPS(radix, string(m, m), (row_digit(sp, m, m + 1),)),
+                       EPS(radix, string(m, 70), (1,))]
+    for _ in range(4):  # the antidiagonal for a while, then random digits
+        lead = tuple(anti.digit_at(j) for j in range(1, rng.randint(1, depth + 4)))
+        tail = tuple(rng.randrange(radix) for _ in range(rng.randint(0, 3)))
+        candidates.append(EPS(radix, lead + tail, (rng.randrange(radix),)))
+    hits = set()
+    for cand, window in itertools.product(candidates, (None, 64)):
+        report = membership_scan(sp, cand, depth, window)
+        found, want = dict_scan(sp, cand, depth, depth if window is None else window)
+        m = report.first_difference
+        assert report.found_at == found and type(m) is not dict
+        hits.add(found)
+        assert m == want and want == m and not m != want and not want != m
+        assert m != {**want, 0: 0} and want != {**m, len(m) + 1: 1}
+        assert (len(m), list(m)) == (len(want), list(want))
+        assert all(n in m for n in want) and m.get(1) == want.get(1)
+        assert m.get(0) is None and m.get(depth + 1, "none") == "none"
+        for view, want_view in ((m.keys(), want.keys()), (m.values(), want.values()),
+                                (m.items(), want.items())):
+            assert len(view) == len(want_view)
+            assert list(view) == list(want_view) == list(view)  # a view iterates again
+        assert m.items() == want.items() and m.keys() == want.keys()
+        for key in (0, depth + 1, "1"):
+            assert key not in m
+            with pytest.raises(KeyError):
+                m[key]
+        for key in (1, True, 1.0, 1.5, len(want), len(want) + 1):
+            assert answer(m, key) == answer(want, key)
+        assert repr(m) == repr(want) and dict(m) == want
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) == want
+        assert report == DiagonalReport(anti, Fraction(1), depth, found, want)
+    assert {None, 1} < hits  # misses, and hits at string 1 (an empty map) and later
 
 
 def test_randomized_tail_does_not_change_scan_results():
