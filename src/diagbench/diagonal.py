@@ -10,12 +10,13 @@ from it at position n, which is what the membership scan measures.  One table,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from collections.abc import ItemsView, Mapping
 from enum import Enum
 from fractions import Fraction
-from operator import ne
+from operator import getitem, ne
 
 from . import rng
 from .eps import EventuallyPeriodicString
@@ -112,7 +113,7 @@ class ArraySpec(Record):
                     raise DomainError("explicit rows must all have equal length" if held
                                       else "explicit rows must be nonempty")
                 width = len(r)
-            if not _is_digits(r):
+            if not (r.isascii() and r.encode().isdigit()):  # _is_digits, inline
                 raise DomainError(f"row {r!r} contains a non-digit")
             held.append(r)
         if not held:
@@ -154,7 +155,9 @@ class ArraySpec(Record):
         if self.is_family:
             return _rule(self)[0].radix
         # Every row is ASCII digits, so deleting 0 and 1 leaves only non-binary ones.
-        return 10 if any(r.encode().translate(None, b"01") for r in self.rows) else 2
+        deleted = map(bytes.translate, map(str.encode, self.rows), itertools.repeat(None),
+                      itertools.repeat(b"01"))
+        return 10 if any(deleted) else 2
 
 
 class _Runs(Mapping):
@@ -180,15 +183,35 @@ class _Runs(Mapping):
     def items(self):
         return _RunItems(self)
 
+    def runs(self):
+        """The three runs as (keys, value) pairs, a value of None mapping each key to itself."""
+        keys, below = self._keys, self._below
+        return (keys[:below], None), (keys[below:below + 1], self._j), (keys[below + 1:], below + 1)
+
+    def members(self, lo, hi, sep):
+        """The members with keys lo..hi - 1 as JSON text, joined by sep, for the
+        CLI's renderer: each key's text is made once, the n -> n run joins it to
+        itself, and a constant run's value goes into the join's separator, so no
+        int is made per member.  It lives here, not in cli, which every CLI call
+        compiles when bytecode is not cached."""
+        out = []
+        for keys, value in self.runs():
+            texts = list(map(str, keys[max(lo - keys.start, 0):max(hi - keys.start, 0)]))
+            if texts and value is None:
+                out.append('"' + (sep + '"').join(map('": '.join, zip(texts, texts))))
+            elif texts:
+                out.append('"' + f'": {value}{sep}"'.join(texts) + f'": {value}')
+        return sep.join(out)
+
     def __repr__(self):
         return repr(dict(self.items()))
 
 
 class _RunItems(ItemsView):
     def __iter__(self):  # the three runs at C level, with no getitem per member
-        keys, below, j = self._mapping._keys, self._mapping._below, self._mapping._j
-        return itertools.chain(zip(keys[:below], keys[:below]), zip(keys[below:below + 1], (j,)),
-                               zip(keys[below + 1:], itertools.repeat(below + 1)))
+        return itertools.chain.from_iterable(
+            zip(keys, keys if value is None else itertools.repeat(value))
+            for keys, value in self._mapping.runs())
 
 
 class DiagonalReport(Record):  # holds a mapping (a dict, or a family scan's runs): unhashable
@@ -210,11 +233,25 @@ def enumerate_universe(n: int, radix: int) -> list:
     return ["".join(t) for t in itertools.product(digits, repeat=n)]
 
 
+# flip_digit on the ASCII digits as one str.translate table per policy, and the
+# digits that table writes.
+_BINARY_FLIP = str.maketrans("01", "10"), b"01"
+_DECIMAL_FLIP = str.maketrans("0123456789", "5555545555"), b"45"
+
+
 def antidiagonal_finite(rows, flip: FlipPolicy) -> str:
     """Flip the diagonal of the first len(rows) columns of an explicit array."""
     n = len(rows)
     if n < 1:
         raise DomainError("need at least one row")
+    table, written = _BINARY_FLIP if flip is FlipPolicy.BINARY else _DECIMAL_FLIP
+    with contextlib.suppress(TypeError):  # rows not all str: the digit loop below
+        if min(map(len, rows)) >= n:  # the diagonal read and flipped in C passes
+            anti = "".join(map(getitem, rows, range(n))).translate(table)
+            # A digit the table does not flip stays, and is not one it writes.
+            if anti.isascii() and not anti.encode().translate(None, written):
+                return anti
+    # A short row or a digit the policy refuses: the error names its row or digit.
     out = []
     for i, r in enumerate(rows):
         if len(r) < n:
@@ -377,9 +414,12 @@ def _scan_explicit(spec, candidate, depth):
     rows = spec.rows[:depth]
     diffs = {}
     found = None
+    first = target[0]
     for n, r in enumerate(rows, start=1):
-        # the first mismatch, found at C level and without reading past it
-        j = next(itertools.compress(itertools.count(1), map(ne, r, target)), None)
+        # the first mismatch, found at C level and without reading past it; a
+        # row that differs at its first digit builds no iterator
+        j = 1 if r[0] != first else next(itertools.compress(itertools.count(1),
+                                                              map(ne, r, target)), None)
         if j is None:
             found = n
             break

@@ -8,10 +8,8 @@ underlying infinite sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from operator import ne
 
 from .errors import BadRadix, DomainError
 from .record import Record
@@ -79,8 +77,15 @@ class EventuallyPeriodicString(Record):
         m = _LITERAL.match(text.strip())
         if m is None:
             raise DomainError(f"not an eventually periodic literal: {text!r}")
-        pre, per = (tuple(g.encode().translate(_VALUES)) for g in m.groups())
-        return cls(radix, pre, per)
+        pre, per = (g.encode().translate(_VALUES) for g in m.groups())
+        # The match admits ASCII 0-9 only, so only a binary bound is left to
+        # check; a bad radix or digit, or a subclass, takes the constructor.
+        if cls is not EventuallyPeriodicString or radix not in (2, 10) or (
+                radix == 2 and (pre + per).translate(None, b"\0\1")):
+            return cls(radix, tuple(pre), tuple(per))
+        s = object.__new__(cls)  # set as the constructor sets it, past its digit loop
+        Record.__init__(s, radix, *_canonical(tuple(pre), tuple(per)))
+        return s
 
     def render(self) -> str:
         return f"{_text(self.preperiod)}({_text(self.period)})"
@@ -107,8 +112,11 @@ class EventuallyPeriodicString(Record):
         """
         p, q = len(self.period), len(other.period)
         window = max(len(self.preperiod), len(other.preperiod)) + p + q - math.gcd(p, q)
-        pairs = map(ne, self.prefix(window), other.prefix(window))
-        return next(itertools.compress(itertools.count(1), pairs), None)
+        # The two ASCII prefixes as big-endian ints: their XOR's top set byte
+        # is the first byte where they differ.
+        diff = (int.from_bytes(self.prefix(window).encode(), "big")
+                ^ int.from_bytes(other.prefix(window).encode(), "big"))
+        return window - (diff.bit_length() - 1) // 8 if diff else None
 
     def __repr__(self):
         return f"EventuallyPeriodicString({self.radix}, {self.render()!r})"

@@ -54,6 +54,7 @@ from diagbench.diagonal import (
     diagonal_cover,
     enumerate_universe,
     membership_scan,
+    row,
     row_digit,
 )
 from diagbench.eps import EventuallyPeriodicString as EPS
@@ -719,10 +720,10 @@ def test_a_file_of_whitespace_lines_at_its_cap_fits_the_budget(tmp_path):
 
 def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
     # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs
-    # (Python 3.11): about 0.4-0.5 s and 41 MB for each of these families, most
+    # (Python 3.11): about 0.3-0.5 s and 37 MB for each of these families, most
     # of it the 22 MB of rendered text; the scan holds its map as three runs.
     # The candidate "11111(01)" leaves the antidiagonal "(1)" at 6 and misses:
-    # every later string first differs from it at 6 (0.3-0.5 s, 37 MB).
+    # every later string first differs from it at 6 (0.25-0.5 s, 32 MB).
     out = tmp_path / "report.json"
     full = (("alt-24",), ("random-below-26",),
             ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal"))
@@ -737,6 +738,28 @@ def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
         assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text
         assert text.endswith(f'    "{SCAN_CAP}": {last}\n  }}\n}}\n')
     assert '    "5": 5,\n    "6": 7,\n    "7": 6,\n' in text
+
+
+def test_a_hit_scan_for_a_long_literal_at_the_depth_cap_fits_the_budget(tmp_path):
+    # The candidate is string 120,000 of the family written out as a literal,
+    # which fits in one argv string (128 KiB).  The scan compares it with the
+    # antidiagonal over a window of about 1.2 * 10**5 digits in one pass, finds
+    # it at 120,000 and reports 119,999 first differences: about 0.1 s as a
+    # child on 2 CPUs (Python 3.11).
+    n = 120_000
+    out = tmp_path / "report.json"
+    for family, stream in (("lower-tri-22", None), ("alt-25", None), ("decimal-29", "12(345)")):
+        spec = ArraySpec.family(Family(family), antidiag_digits=stream and EPS.parse(stream, 10))
+        literal = f"{row(spec, n, n)}({row(spec, n, n + 1)[-1]})"
+        assert len(literal) < 128 * 1024
+        antidiag = ("--antidiag", stream) if stream else ()
+        wall, _ = _cli_child("diagonal", "--family", family, *antidiag, "--depth", SCAN_CAP,
+                             "--candidate", literal, "--output", out)
+        assert wall < 1, f"{family} took {wall:.2f}s, budget 1s"
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        assert f'"scan_depth": {SCAN_CAP},' in text and f'"found_at": {n},' in text
+        assert text.endswith(f'    "{n - 1}": {n - 1}\n  }}\n}}\n')
 
 
 CLI_COMMANDS = (

@@ -933,6 +933,14 @@ def test_non_ascii_digit_rows_exit_2(tmp_path, capsys, row):
     assert err == f"error: DomainError: row {row!r} contains a non-digit\n"
 
 
+def test_a_file_with_several_faults_names_its_first(tmp_path, capsys):
+    path = tmp_path / "rows.txt"
+    path.write_text("12\n\n1a\n123\n\u06634\n", encoding="utf-8")
+    code, out, err = run(capsys, "diagonal", "--explicit", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: DomainError: row '1a' contains a non-digit\n"
+
+
 def test_an_explicit_file_is_bounded_by_its_characters(tmp_path, capsys, monkeypatch):
     path = tmp_path / "rows.txt"
     outs = set()

@@ -95,10 +95,13 @@ def test_antidiagonal_of_the_printed_array():
 
 
 def test_antidiagonal_requires_square_prefix():
-    with pytest.raises(RowTooShort):
+    with pytest.raises(RowTooShort, match="^row 1 has length 2 < 3$"):
         antidiagonal_finite(["01", "10", "11"], FlipPolicy.BINARY)
-    with pytest.raises(PolicyRadixMismatch):
+    with pytest.raises(RowTooShort, match="^row 2 has length 2 < 4$"):
+        antidiagonal_finite(["0101", "10", "111", "1"], FlipPolicy.BINARY)
+    with pytest.raises(PolicyRadixMismatch, match="^binary flip applied to digit 5$"):
         antidiagonal_finite(["55", "55"], FlipPolicy.BINARY)
+    assert antidiagonal_finite(["\u0663"], FlipPolicy.DECIMAL) == "5"  # int reads it as 3
     with pytest.raises(DomainError):
         antidiagonal_finite([], FlipPolicy.BINARY)
 
@@ -112,6 +115,53 @@ def test_antidiagonal_differs_from_every_row():
         for i, r in enumerate(rows):
             assert anti[i] != r[i]
             assert anti != r
+
+
+def flip_loop(rows, flip):
+    """antidiagonal_finite one row at a time: a length check, int and flip_digit."""
+    out = []
+    for i, r in enumerate(rows):
+        if len(r) < len(rows):
+            raise RowTooShort(f"row {i + 1} has length {len(r)} < {len(rows)}")
+        out.append(str(flip_digit(int(r[i]), flip)))
+    return "".join(out)
+
+
+def outcome(call, *args):
+    """A call's result, or its error's class and message."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def test_antidiagonal_matches_the_flip_digit_loop():
+    # Seeded binary and decimal arrays, square and wider than tall.
+    rng = random.Random(1891)
+    for _ in range(300):
+        digits = rng.choice(("01", "0123456789"))
+        flip = rng.choice(list(FlipPolicy)) if digits == "01" else FlipPolicy.DECIMAL
+        n = rng.randint(1, 60)
+        width = n + rng.choice((0, rng.randint(1, 40)))
+        rows = ["".join(rng.choice(digits) for _ in range(width)) for _ in range(n)]
+        assert antidiagonal_finite(rows, flip) == flip_loop(rows, flip)
+        assert antidiagonal_finite(tuple(rows), flip) == flip_loop(rows, flip)
+
+
+@pytest.mark.parametrize("rows", [
+    ["0101", "10", "111", "1"],  # the first short row is named
+    ["01010", "1010", "101", "0"],
+    ["01", "12"],  # "2" on the diagonal: binary refuses it
+    ["02", "10"],  # and off the diagonal it is never read
+    ["0\u0663", "\u06631"],  # a non-ASCII digit goes through int
+    ["\u00b21", "11"],  # a character int refuses
+    ["1 ", " 1"],
+    [(0, 1), (1, 1)],  # rows that are not strings
+    [b"01", b"10"],
+])
+def test_antidiagonal_errors_match_the_flip_digit_loop(rows):
+    for flip in FlipPolicy:
+        assert outcome(antidiagonal_finite, rows, flip) == outcome(flip_loop, rows, flip)
 
 
 def test_decimal_antidiagonal_avoids_dual_representations():
@@ -344,6 +394,20 @@ def test_a_bad_row_is_refused_before_the_next_is_read(bad, message):
     assert operator.length_hint(rows) == SCAN_CAP
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["12", "1a", "123", ""], "row '1a' contains a non-digit"),
+    (["12", "123", "1a"], "explicit rows must all have equal length"),
+    (["1a3", "12"], "row '1a3' contains a non-digit"),
+    (["12", "1a3"], "explicit rows must all have equal length"),
+    (["12", "\u06634", "1"], "row '\u06634' contains a non-digit"),
+    (["", "1a"], "explicit rows must be nonempty"),
+])
+def test_explicit_refuses_the_first_fault_of_several(rows, message):
+    with pytest.raises(DomainError) as caught:
+        ArraySpec.explicit(rows)
+    assert type(caught.value) is DomainError and str(caught.value) == message
+
+
 def test_explicit_radix_follows_the_digits():
     assert ArraySpec.explicit(B4_ROWS).radix == 2
     assert ArraySpec.explicit(["0101", "1102"]).radix == 10
@@ -556,6 +620,10 @@ def test_a_family_scan_map_behaves_as_its_dict(kind, randomize):
         for key in (1, True, 1.0, 1.5, len(want), len(want) + 1):
             assert answer(m, key) == answer(want, key)
         assert repr(m) == repr(want) and dict(m) == want
+        # The members of a window of keys, as the CLI renders them block by block.
+        for lo, hi in ((1, depth + 1), (1, 9), (16, 19), (17, 18), (18, depth + 9), (41, 50)):
+            assert m.members(lo, hi, ",\n  ") == ",\n  ".join(
+                f'"{n}": {j}' for n, j in want.items() if lo <= n < hi)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(m, protocol)) == want
         assert report == DiagonalReport(anti, Fraction(1), depth, found, want)

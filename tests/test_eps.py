@@ -126,6 +126,70 @@ def test_a_long_literal_survives_parse_render_and_prefix(radix):
         assert s.prefix(length) == spelled_prefix(s.preperiod, s.period, length)
 
 
+def _literal(pre, per):
+    return "".join(map(str, pre)) + "(" + "".join(map(str, per)) + ")"
+
+
+def test_parse_matches_the_constructor():
+    # parse checks a literal whole and skips the constructor's digit loop; the
+    # record must be the one the constructor builds, canonical form included.
+    rng = random.Random(2024)
+    cases = []
+    for radix in (2, 10):
+        for _ in range(400):
+            per = [rng.randrange(radix) for _ in range(rng.randint(1, 6))] * rng.randint(1, 3)
+            pre = [rng.randrange(radix) for _ in range(rng.randint(0, 12))]
+            pre += (per * 2)[rng.randint(0, 2 * len(per)):]  # often absorbed into the period
+            cases.append((radix, pre, per))
+    p = [rng.randrange(10) for _ in range(64000)]
+    cases += [(10, p, p), (2, [1] * 10, [0, 1] * 5), (10, [], [0]), (2, [0, 0], [1])]
+    canonicalized = 0
+    for radix, pre, per in cases:
+        s = EPS.parse(_literal(pre, per), radix)
+        want = EPS(radix, tuple(pre), tuple(per))
+        assert s == want and hash(s) == hash(want) and repr(s) == repr(want)
+        assert type(s) is EPS and type(s.preperiod) is tuple and type(s.period) is tuple
+        assert set(map(type, s.preperiod + s.period)) == {int}
+        canonicalized += (s.preperiod, s.period) != (tuple(pre), tuple(per))
+    assert canonicalized > len(cases) // 2
+    assert EPS.parse(_literal(p, p), 10).render() == "(" + "".join(map(str, p)) + ")"
+
+
+@pytest.mark.parametrize("text, radix, error, message", [
+    ("101", 2, DomainError, "not an eventually periodic literal: '101'"),
+    ("1()", 2, DomainError, "not an eventually periodic literal: '1()'"),
+    ("(\u0663)", 10, DomainError, "not an eventually periodic literal: '(\u0663)'"),
+    ("1(2)", 2, DomainError, "digit 2 out of range for radix 2"),
+    (" 0129(01) ", 2, DomainError, "digit 2 out of range for radix 2"),  # the first bad digit
+    ("01(013)", 2, DomainError, "digit 3 out of range for radix 2"),
+    ("3(1)", 2.0, DomainError, "digit 3 out of range for radix 2.0"),
+    ("(1)", 3, BadRadix, "radix must be 2 or 10, got 3"),
+    ("9(1)", 3, BadRadix, "radix must be 2 or 10, got 3"),
+    ("1(0)", True, BadRadix, "radix must be 2 or 10, got True"),
+    ("(1)", None, BadRadix, "radix must be 2 or 10, got None"),
+])
+def test_parse_keeps_the_constructor_errors(text, radix, error, message):
+    with pytest.raises(error) as caught:
+        EPS.parse(text, radix)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_subclass_parses_through_its_own_constructor():
+    calls = []
+
+    class Logged(EPS):
+        __slots__ = ()
+
+        def __init__(self, radix, preperiod, period):
+            calls.append((radix, preperiod, period))
+            super().__init__(radix, preperiod, period)
+
+    for radix in (2, 10):
+        s = Logged.parse("0(10)", radix)
+        assert type(s) is Logged and calls[-1] == (radix, (0,), (1, 0))
+        assert s == Logged(radix, (), (0, 1)) and s.render() == "(01)"
+
+
 def test_first_difference():
     ones = EPS(2, (), (1,))
     assert ones.first_difference(EPS(2, (1, 1, 1), (0,))) == 4
@@ -185,6 +249,28 @@ def test_first_difference_matches_the_digit_loop():
         same = EPS(radix, a.preperiod + a.period, a.period * rng.randint(1, 3))
         assert a.first_difference(b) == lcm_first_difference(a, b)
         assert a.first_difference(same) is None
+
+
+@pytest.mark.parametrize("radix", [2, 10])
+def test_first_difference_over_a_window_of_100000_digits(radix):
+    # A hit scan compares a long literal with the antidiagonal in one pass:
+    # the first mismatch at 1, in the middle, at the window's last digit, and nowhere.
+    n = 10**5
+    rng = random.Random(n + radix)
+    pre = [rng.randrange(radix) for _ in range(n - 1)]
+    pre[-1] = 0  # not absorbed into a period of (1,): the window is n digits
+    a = EPS(radix, pre, (1,))
+
+    def flipped(i):
+        return pre[:i] + [(pre[i] + 1) % radix] + pre[i + 1:]
+
+    cases = ((EPS(radix, flipped(0), (1,)), 1),
+             (EPS(radix, flipped(n // 2), (1,)), n // 2 + 1),
+             (EPS(radix, pre, (0,)), n),  # the last 0 of pre joins the period
+             (EPS(radix, pre + [1, 1], (1, 1)), None))
+    for b, expected in cases:
+        assert a.first_difference(b) == b.first_difference(a) == expected
+        assert lcm_first_difference(a, b) == expected
 
 
 digits = st.integers(min_value=0, max_value=1)
