@@ -2,7 +2,8 @@
 
 Run with -v to get one pass/fail line per requirement.  Each test is
 self-contained and checks its own wall-clock budget, so a pass means both
-"the numbers are exactly right" and "at the promised scale".
+"the numbers are exactly right" and "at the promised scale".  Each child run
+at a cap prints its wall time and peak RSS against its budget; -rP shows them.
 """
 
 import concurrent.futures
@@ -116,12 +117,10 @@ def test_square_universe_reproduction():
 def test_each_universe_cap_fits_the_budget():
     # As children on 2 CPUs: binary at 23 about 4.7 s and 0.72 GB, decimal at
     # 7 under 3 s and 0.70 GB.  Binary at 24 took 9.3 s and 1.4 GB.
+    code = ("import sys; from diagbench.diagonal import enumerate_universe as u; "
+            "n, radix = map(int, sys.argv[1:]); assert len(u(n, radix)) == radix**n")
     for radix, n in UNIVERSE_CAP.items():
-        code = (f"from diagbench.diagonal import enumerate_universe as u; "
-                f"assert len(u({n}, {radix})) == {radix}**{n}")
-        wall, peak_mb = _child("-c", code)
-        assert wall < 10, f"radix {radix}: took {wall:.2f}s, budget 10s"
-        assert peak_mb < 1024, f"radix {radix}: peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+        _child("-c", code, n, radix, seconds=10, mb=1024)
 
 
 def test_a_literal_filling_one_argument_parses_within_budget():
@@ -186,11 +185,8 @@ def test_family_csv_reaches_the_cell_cap(tmp_path):
     # about 1.5 s and 83 MB, fails the RSS budget.
     width = CSV_CELL_CAP
     path = tmp_path / "rows.csv"
-    wall, peak_mb = _cli_child("diagonal", "--family", "random-below-26", "--seed", "5",
-                               "--depth", "1", "--prefix", width, "--format", "csv",
-                               "--output", path)
-    assert wall < 5, f"took {wall:.2f}s, budget 5s"
-    assert peak_mb < 48, f"peak RSS {peak_mb:.0f} MB, budget 48 MB"
+    _cli_child("diagonal", "--family", "random-below-26", "--seed", "5", "--depth", "1",
+               "--prefix", width, "--format", "csv", "--output", path, seconds=5, mb=48)
     header, line, end = path.read_text(encoding="utf-8").split("\n")
     assert (header, end) == ("n,digits", "")
     digits = line.removeprefix("1,")
@@ -303,10 +299,8 @@ def test_dovetail_at_its_cap_fits_the_budget(tmp_path, fmt, head):
     # 176 MB (JSON) or 1.0-1.6 s and 75 MB (CSV) on 2 CPUs.  With the whole
     # subset list held before rendering, both formats took over 300 MB here.
     out = tmp_path / f"dovetail.{fmt}"
-    wall, peak_mb = _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP,
-                               "--format", fmt, "--output", out)
-    assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
+    _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP, "--format", fmt,
+               "--output", out, seconds=10, mb=256)
     with open(out, encoding="utf-8") as fh:
         assert fh.read(len(head)) == head
 
@@ -352,9 +346,8 @@ def test_rank_just_under_its_cap_fits_the_budget(tmp_path):
         if (p, gap) in sweep:  # the most elements that fit this gap
             assert p * gap > _top_under_rank_cap(p + 1)
         want = colex_rank(elems)
-        wall, _ = _cli_child("subsets", "rank", "--elements", ",".join(map(str, elems)),
-                             "--output", out)
-        assert wall < 1, f"{p} elements {gap} apart took {wall:.2f}s, budget 1s"
+        _cli_child("subsets", "rank", "--elements", ",".join(map(str, elems)),
+                   "--output", out, seconds=1)
         got = json.loads(out.read_text(encoding="utf-8"))
         assert got == {"elements": list(elems), "rank": want} and len(str(want)) == 4300
 
@@ -425,12 +418,13 @@ def test_an_over_cap_rat_exact_schedule_exits_2_before_the_kernel(capsys):
 
 
 def test_unrank_and_exponential_ratios_reach_their_caps(tmp_path):
-    # unrank at both caps: a few ms on a 2-vCPU VM.
-    budget = Budget(5)
+    # unrank at both caps as a CLI child: 0.06-0.09 s and 16 MB on a 2-vCPU VM.
     widest = (1 << UNRANK_BITS_CAP) - 1
-    s = unrank(UNRANK_P_CAP, widest)
-    assert len(s) == UNRANK_P_CAP and rank(s) == widest
-    budget.check()
+    out = tmp_path / "unrank.json"
+    _cli_child("subsets", "unrank", "--p", UNRANK_P_CAP, "--r", widest, "--output", out,
+               seconds=5, mb=64)
+    elements = json.loads(out.read_text(encoding="utf-8"))["elements"]
+    assert len(elements) == UNRANK_P_CAP and rank(FiniteSubset(elements)) == widest
     # The longest schedule an exponential pair takes, every point printed, with
     # the costliest numerator: about 1.7 s on a 2-vCPU VM.
     budget = Budget(10)
@@ -487,22 +481,30 @@ print(time.monotonic() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(statu
 """
 
 
-def _child(*args, code=0, err=None):
-    """Run Python with args as a child that must exit with code, and write just
-    err to stderr if err is given: (wall seconds, peak RSS MB)."""
+def _child(*args, code=0, err=None, seconds=None, mb=None):
+    """Run Python with args as a child that must exit with code, write just err
+    to stderr if err is given, and finish within seconds of wall time and mb of
+    peak RSS where they are given.  Print one line: args, each cut to 20
+    characters if longer, then the wall time and peak RSS with their budgets."""
     src = os.path.dirname(os.path.dirname(diagbench.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *map(str, args)]
+    args = [str(a) for a in args]
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *args]
     report = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     wall, maxrss, status = report.stdout.split()
+    wall, peak_mb = float(wall), int(maxrss) / 1024  # KiB on Linux
+    line = (" ".join(a if len(a) < 40 else a[:20] + "..." for a in args)
+            + f": {wall:.2f} s" + (f" (budget {seconds} s)" if seconds else "")
+            + f", peak RSS {peak_mb:.0f} MB" + (f" (budget {mb} MB)" if mb else ""))
+    print(line)
     assert int(status) == code, report.stderr
     assert err is None or report.stderr == err
-    return float(wall), int(maxrss) / 1024  # KiB on Linux
+    assert (not seconds or wall < seconds) and (not mb or peak_mb < mb), f"over budget: {line}"
 
 
 def _cli_child(*args, **expect):
-    """Run the CLI as a child, checked as _child checks it: (wall seconds, peak RSS MB)."""
-    return _child("-m", "diagbench", *args, **expect)
+    """Run the CLI as a child, checked and reported as _child does it."""
+    _child("-m", "diagbench", *args, **expect)
 
 
 def test_the_costliest_rat_exact_schedules_fit_the_budget(tmp_path):
@@ -517,11 +519,9 @@ def test_the_costliest_rat_exact_schedules_fit_the_budget(tmp_path):
     out = tmp_path / "rho.csv"
     for schedule, b in ((spread, "rat-exact"), (low, "nat")):
         assert kernel_work(schedule) <= WORK_CAP
-        wall, peak_mb = _cli_child("density", "rho", "--a", "rat-exact", "--b", b,
-                                   "--schedule", ",".join(map(str, schedule)),
-                                   "--format", "csv", "--output", out)
-        assert wall < 10, f"{len(schedule)} points took {wall:.2f}s, budget 10s"
-        assert peak_mb < 1024, f"{len(schedule)} points: peak RSS {peak_mb:.0f} MB, budget 1024 MB"
+        _cli_child("density", "rho", "--a", "rat-exact", "--b", b,
+                   "--schedule", ",".join(map(str, schedule)),
+                   "--format", "csv", "--output", out, seconds=10, mb=1024)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(schedule) + 1
     assert lines[1].startswith(f"{215**2 + 1},")
@@ -536,10 +536,8 @@ def test_the_grid_at_its_cap_fits_the_budget(tmp_path):
     bold = sum(1 for b in range(2, GRID_CAP + 1) for a in range(1, b) if math.gcd(a, b) == 1)
     for fmt in ("csv", "json"):
         out = tmp_path / f"grid.{fmt}"
-        wall, peak_mb = _cli_child("density", "grid", "--n", GRID_CAP, "--format", fmt,
-                                   "--output", out)
-        assert wall < 2, f"{fmt} took {wall:.2f}s, budget 2s"
-        assert peak_mb < 64, f"{fmt} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+        _cli_child("density", "grid", "--n", GRID_CAP, "--format", fmt, "--output", out,
+                   seconds=2, mb=64)
         text = out.read_text(encoding="utf-8")
         if fmt == "csv":
             cells = [row.split(",") for row in text.splitlines()[1:]]
@@ -560,9 +558,7 @@ def test_a_chain_at_its_cap_fits_the_budget(tmp_path):
     script = tmp_path / "chain.txt"
     script.write_text("# one chain at the cap\n" + " ".join([*parts, "<=>", "P"]) + "\n")
     out = tmp_path / "verdict.json"
-    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, "--output", out)
-    assert wall < 5, f"took {wall:.2f}s, budget 5s"
-    assert peak_mb < 256, f"peak RSS {peak_mb:.0f} MB, budget 256 MB"
+    _cli_child("chains", "analyze", "--script", script, "--output", out, seconds=5, mb=256)
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert '"pattern": "FLAWED_38"' in text
@@ -579,9 +575,7 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
     script = tmp_path / "chains.txt"
     script.write_text(chain * SCRIPT_CAP)
     out = tmp_path / "verdicts.json"
-    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, "--output", out)
-    assert wall < 5, f"took {wall:.2f}s, budget 5s"
-    assert peak_mb < 40, f"peak RSS {peak_mb:.0f} MB, budget 40 MB"
+    _cli_child("chains", "analyze", "--script", script, "--output", out, seconds=5, mb=40)
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert text.count('"pattern": "FLAWED_38"') == SCRIPT_CAP
@@ -594,18 +588,15 @@ def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
     rows = tmp_path / "rows.txt"
     rows.write_text("".join(f"{n:010d}\n" for n in range(SCAN_CAP)))
     out = tmp_path / "rows.json"
-    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
-    assert wall < 10, f"JSON took {wall:.2f}s, budget 10s"
-    assert peak_mb < 128, f"JSON peak RSS {peak_mb:.0f} MB, budget 128 MB"
+    _cli_child("diagonal", "--explicit", rows, "--output", out, seconds=10, mb=128)
     assert json.loads(out.read_text(encoding="utf-8")) == {
         "antidiagonal": "5555555555", "cover": str(Fraction(10, SCAN_CAP)),
         "scan_depth": 100, "found_at": None,
         "first_difference": {str(n): 1 for n in range(1, 101)},
     }
     out = tmp_path / "rows.csv"
-    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--format", "csv", "--output", out)
-    assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    assert peak_mb < 224, f"peak RSS {peak_mb:.0f} MB, budget 224 MB"
+    _cli_child("diagonal", "--explicit", rows, "--format", "csv", "--output", out,
+               seconds=10, mb=224)
     with open(out, encoding="utf-8") as fh:
         assert fh.readline() == "n,digits\n" and fh.readline() == "1,0000000000\n"
         assert sum(1 for _ in fh) == SCAN_CAP - 1
@@ -647,9 +638,7 @@ def test_an_over_long_explicit_line_is_refused_before_it_is_held(tmp_path):
     path.write_text("7" * (5 * EXPLICIT_CELL_CAP) + "\n")
     code = ("import sys; from diagbench.cli import main; "
             f"sys.exit(main(['diagonal', '--explicit', {str(path)!r}]) != 2)")
-    wall, peak_mb = _child("-c", code)
-    assert wall < 5, f"took {wall:.2f}s, budget 5s"
-    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
+    _child("-c", code, seconds=5, mb=64)
 
 
 def test_a_flooded_input_file_exits_2_before_its_lines_are_split(tmp_path):
@@ -670,9 +659,7 @@ def test_a_flooded_input_file_exits_2_before_its_lines_are_split(tmp_path):
         ("chains", "analyze", "--script", comments),
         ("chains", "analyze", "--script", chain),
     ):
-        wall, peak_mb = _cli_child(*argv, code=2, err=err)
-        assert wall < 2, f"{argv[-1].name} took {wall:.2f}s, budget 2s"
-        assert peak_mb < 64, f"{argv[-1].name} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+        _cli_child(*argv, code=2, err=err, seconds=2, mb=64)
 
 
 def test_a_long_name_that_fails_late_fits_the_budget(tmp_path):
@@ -686,9 +673,7 @@ def test_a_long_name_that_fails_late_fits_the_budget(tmp_path):
     script = tmp_path / "chain.txt"
     script.write_text(line + "\n")
     err = f"error: ChainSyntaxError: unexpected character '!' (position {len(line)})\n"
-    wall, peak_mb = _cli_child("chains", "analyze", "--script", script, code=2, err=err)
-    assert wall < 2, f"took {wall:.2f}s, budget 2s"
-    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
+    _cli_child("chains", "analyze", "--script", script, code=2, err=err, seconds=2, mb=64)
 
 
 def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
@@ -698,9 +683,7 @@ def test_a_file_of_blank_lines_at_its_cap_fits_the_budget(tmp_path):
     rows = tmp_path / "rows.txt"
     rows.write_text("\n" * (FILE_CAP - 6) + "12\n34\n")
     out = tmp_path / "report.json"
-    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
-    assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    assert peak_mb < 64, f"peak RSS {peak_mb:.0f} MB, budget 64 MB"
+    _cli_child("diagonal", "--explicit", rows, "--output", out, seconds=10, mb=64)
     assert '"scan_depth": 2,' in out.read_text()
 
 
@@ -712,9 +695,7 @@ def test_a_file_of_whitespace_lines_at_its_cap_fits_the_budget(tmp_path):
     rows.write_text(" \n" * ((FILE_CAP - 6) // 2) + "12\n34\n")
     assert rows.stat().st_size == FILE_CAP
     out = tmp_path / "report.json"
-    wall, peak_mb = _cli_child("diagonal", "--explicit", rows, "--output", out)
-    assert wall < 10, f"took {wall:.2f}s, budget 10s"
-    assert peak_mb < 48, f"peak RSS {peak_mb:.0f} MB, budget 48 MB"
+    _cli_child("diagonal", "--explicit", rows, "--output", out, seconds=10, mb=48)
     assert '"scan_depth": 2,' in out.read_text()
 
 
@@ -729,10 +710,8 @@ def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
             ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal"))
     miss = ("lower-tri-22", "--candidate", "11111(01)")
     for family, last in [*((f, SCAN_CAP) for f in full), (miss, 6)]:
-        wall, peak_mb = _cli_child("diagonal", "--family", *family, "--seed", "7",
-                                   "--depth", SCAN_CAP, "--output", out)
-        assert wall < 10, f"{family[0]} took {wall:.2f}s, budget 10s"
-        assert peak_mb < 64, f"{family[0]} peak RSS {peak_mb:.0f} MB, budget 64 MB"
+        _cli_child("diagonal", "--family", *family, "--seed", "7", "--depth", SCAN_CAP,
+                   "--output", out, seconds=10, mb=64)
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text
@@ -753,9 +732,8 @@ def test_a_hit_scan_for_a_long_literal_at_the_depth_cap_fits_the_budget(tmp_path
         literal = f"{row(spec, n, n)}({row(spec, n, n + 1)[-1]})"
         assert len(literal) < 128 * 1024
         antidiag = ("--antidiag", stream) if stream else ()
-        wall, _ = _cli_child("diagonal", "--family", family, *antidiag, "--depth", SCAN_CAP,
-                             "--candidate", literal, "--output", out)
-        assert wall < 1, f"{family} took {wall:.2f}s, budget 1s"
+        _cli_child("diagonal", "--family", family, *antidiag, "--depth", SCAN_CAP,
+                   "--candidate", literal, "--output", out, seconds=1)
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         assert f'"scan_depth": {SCAN_CAP},' in text and f'"found_at": {n},' in text

@@ -79,6 +79,17 @@ def test_family_array_csv(capsys):
     assert out == "n,digits\n1,0000\n2,1000\n3,1100\n4,1110\n"
 
 
+def test_a_csv_dump_holds_depth_family_rows_and_every_explicit_row(capsys):
+    code, out, _ = run(capsys, "diagonal", "--family", "lower-tri-22", "--depth", "3",
+                       "--format", "csv")
+    assert code == 0 and out == "n,digits\n1,000\n2,100\n3,110\n"
+    code, out, _ = run(capsys, "diagonal", "--explicit", str(DATA / "b4.txt"), "--depth", "3",
+                       "--format", "csv")
+    rows = (DATA / "b4.txt").read_text(encoding="utf-8").split()
+    assert code == 0 and len(rows) == 16
+    assert out == "n,digits\n" + "".join(f"{n},{r}\n" for n, r in enumerate(rows, 1))
+
+
 def test_explicit_scan(capsys):
     code, out, _ = run(
         capsys, "diagonal", "--explicit", str(DATA / "b4.txt"), "--depth", "16",
