@@ -11,10 +11,10 @@ its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
 its first byte is written, so a run that fails writes nothing to stdout and
 creates no --output file.  A CSV chunk is one line.  JSON is split by one rule
 (_json_chunks): a non-empty dict gives one chunk per member, its value split
-alike, but an int-to-int map one per _BLOCK members, made by one %-format, and
-a family scan's runs (ints by construction) one per _BLOCK keys, spelt by the
-runs' own members method; an iterator, or a non-empty list or tuple not all
-ints, one per item, each rendered whole by _json; anything else is one chunk.
+alike, but an int-to-int map (a dict of ints, or a family scan's runs, ints by
+construction) is spelt from (keys, values) runs, one chunk per _BLOCK members
+of a run; an iterator, or a non-empty list or tuple not all ints, one per item,
+each rendered whole by _json; anything else is one chunk.
 Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
 """
 
@@ -26,7 +26,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import CapExceeded, DomainError, WorkbenchError
@@ -54,7 +53,7 @@ SCRIPT_CAP = 2 * 10**4
 # explicit-array caps, 10**6 rows of 10 digits, is 1.1 * 10**7 characters.
 FILE_CAP = 12 * 10**6
 
-_BLOCK = 4096  # members of an int-to-int map, or of a family scan's runs, per JSON chunk
+_BLOCK = 4096  # members of one run of an int-to-int map per JSON chunk
 
 
 def _frac(f: Fraction) -> str:
@@ -134,17 +133,20 @@ def _json_chunks(value, indent="\n") -> list:
     so that no string holds a large payload's text; a top-level one ends in a newline."""
     inner = indent + "  "
     sep = "," + inner
-    if hasattr(value, "members"):  # a family scan's runs: ints, spelt by the map itself
+    runs = value.runs() if hasattr(value, "runs") else isinstance(value, dict) and _ints(
+        value) and _ints(value.values()) and [(list(value), list(value.values()))]
+    if runs:  # an int-to-int map as (keys, values) runs: a family scan's three, a dict's one
         out = ["{" + inner]
-        for lo in range(1, len(value) + 1, _BLOCK):  # a chunk per _BLOCK keys, across runs
-            out += (value.members(lo, lo + _BLOCK, sep), sep)
+        for keys, values in runs:
+            for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
+                texts = list(map(str, keys[lo:lo + _BLOCK]))  # each key's text made once
+                if type(values) is int:  # a constant value goes into the join's separator
+                    out += ('"' + f'": {values}{sep}"'.join(texts) + f'": {values}', sep)
+                else:  # None maps n -> n: each key's text is joined to itself
+                    pairs = zip(texts, texts if values is None else
+                                map(str, values[lo:lo + _BLOCK]))
+                    out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
         out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": empty runs
-    elif isinstance(value, dict) and _ints(value) and _ints(value.values()):
-        items = iter(value.items())
-        out = ["{" + inner]
-        while block := tuple(chain.from_iterable(islice(items, _BLOCK))):
-            out += (sep.join(['"%d": %d'] * (len(block) // 2)) % block, sep)
-        out[-1] = indent + "}"
     elif isinstance(value, dict) and value:
         out = ["{" + inner]
         for key, item in value.items():

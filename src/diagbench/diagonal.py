@@ -188,21 +188,6 @@ class _Runs(Mapping):
         keys, below = self._keys, self._below
         return (keys[:below], None), (keys[below:below + 1], self._j), (keys[below + 1:], below + 1)
 
-    def members(self, lo, hi, sep):
-        """The members with keys lo..hi - 1 as JSON text, joined by sep, for the
-        CLI's renderer: each key's text is made once, the n -> n run joins it to
-        itself, and a constant run's value goes into the join's separator, so no
-        int is made per member.  It lives here, not in cli, which every CLI call
-        compiles when bytecode is not cached."""
-        out = []
-        for keys, value in self.runs():
-            texts = list(map(str, keys[max(lo - keys.start, 0):max(hi - keys.start, 0)]))
-            if texts and value is None:
-                out.append('"' + (sep + '"').join(map('": '.join, zip(texts, texts))))
-            elif texts:
-                out.append('"' + f'": {value}{sep}"'.join(texts) + f'": {value}')
-        return sep.join(out)
-
     def __repr__(self):
         return repr(dict(self.items()))
 

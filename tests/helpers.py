@@ -32,6 +32,29 @@ B4_ROWS = (
     "0110", "0101", "0011", "1110", "1101", "1011", "0111", "1111",
 )
 
+# Argv lists over every subcommand, for the determinism tests: each must give
+# the same bytes on stdout run after run, and in --output run serially or in threads.
+COMMANDS = (
+    ("diagonal", "--family", "random-below-26", "--depth", "8", "--prefix", "12",
+     "--candidate", "111111(0)", "--seed", "9"),
+    ("diagonal", "--family", "random-below-26", "--depth", "50", "--prefix", "64",
+     "--candidate", "1111111(0)", "--seed", "3"),
+    ("diagonal", "--family", "alt-24", "--depth", "12", "--format", "csv"),
+    ("diagonal", "--family", "alt-25", "--depth", "10", "--format", "csv"),
+    ("subsets", "dovetail", "--count", "30"),
+    ("subsets", "dovetail", "--count", "64"),
+    ("subsets", "figure1", "--n", "16", "--format", "json"),
+    ("subsets", "table1", "--n", "2520"),
+    ("subsets", "table1", "--n", "2520", "--format", "json"),
+    ("density", "rho", "--a", "real", "--b", "complex"),
+    ("density", "rho", "--a", "nat", "--b", "rat-paper"),
+    ("density", "figure2", "--max", "1000", "--format", "json"),
+    ("density", "grid", "--n", "9"),
+    ("density", "grid", "--n", "12"),
+    ("chains", "preset", "cda"),
+    ("chains", "analyze", "--expr", "~P <=> Q1 <=> Q2 => Q3 => CONTRA"),
+)
+
 
 def pascal_row(n):
     row = [1]

@@ -82,6 +82,7 @@ from diagbench.subsets import (
 
 from helpers import (
     B4_ROWS,
+    COMMANDS,
     bytewise_bits,
     chain_edges,
     colex_rank,
@@ -581,12 +582,18 @@ def test_a_script_at_its_caps_fits_the_budget(tmp_path):
     assert text.count('"pattern": "FLAWED_38"') == SCRIPT_CAP
 
 
-def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
-    # SCAN_CAP rows of 10 digits, EXPLICIT_CELL_CAP cells, as children on a
-    # 2-vCPU VM.  Scanned 100 deep as JSON: 0.40-0.69 s and 90-95 MB (Python
-    # 3.10-3.12).  Dumped whole as CSV: about 1.2 s and 169 MB.
+def _rows_at_both_caps(tmp_path):
+    """A file of SCAN_CAP rows of 10 digits, EXPLICIT_CELL_CAP cells: row n is n - 1."""
     rows = tmp_path / "rows.txt"
     rows.write_text("".join(f"{n:010d}\n" for n in range(SCAN_CAP)))
+    return rows
+
+
+def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
+    # The rows as children on a 2-vCPU VM.  Scanned 100 deep as JSON:
+    # 0.40-0.69 s and 90-95 MB (Python 3.10-3.12).  Dumped whole as CSV:
+    # about 1.2 s and 169 MB.
+    rows = _rows_at_both_caps(tmp_path)
     out = tmp_path / "rows.json"
     _cli_child("diagonal", "--explicit", rows, "--output", out, seconds=10, mb=128)
     assert json.loads(out.read_text(encoding="utf-8")) == {
@@ -600,6 +607,20 @@ def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
     with open(out, encoding="utf-8") as fh:
         assert fh.readline() == "n,digits\n" and fh.readline() == "1,0000000000\n"
         assert sum(1 for _ in fh) == SCAN_CAP - 1
+
+
+def test_an_explicit_json_scan_at_scan_cap_fits_the_budget(tmp_path):
+    # Scanned SCAN_CAP deep, the one input that renders a large int-to-int dict:
+    # every row leads with a 0, so each first differs from the antidiagonal's
+    # 5s at digit 1.  About 0.9-1.1 s and 185 MB as a child on a 2-vCPU VM.
+    rows = _rows_at_both_caps(tmp_path)
+    out = tmp_path / "rows.json"
+    _cli_child("diagonal", "--explicit", rows, "--depth", SCAN_CAP, "--output", out,
+               seconds=10, mb=256)
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text
+    assert text.endswith(f'    "{SCAN_CAP}": 1\n  }}\n}}\n')
 
 
 def test_an_over_cap_explicit_file_exits_2_before_it_is_read_whole(tmp_path, capsys):
@@ -740,28 +761,16 @@ def test_a_hit_scan_for_a_long_literal_at_the_depth_cap_fits_the_budget(tmp_path
         assert text.endswith(f'    "{n - 1}": {n - 1}\n  }}\n}}\n')
 
 
-CLI_COMMANDS = (
-    ("diagonal", "--family", "random-below-26", "--depth", "50", "--prefix", "64",
-     "--candidate", "1111111(0)", "--seed", "3"),
-    ("diagonal", "--family", "alt-25", "--depth", "10", "--format", "csv"),
-    ("subsets", "dovetail", "--count", "64"),
-    ("subsets", "table1", "--n", "2520"),
-    ("density", "rho", "--a", "nat", "--b", "rat-paper"),
-    ("density", "grid", "--n", "12"),
-    ("chains", "preset", "cda"),
-)
-
-
 def test_cli_determinism(tmp_path):
     def capture(tag, argv):
         path = tmp_path / f"{tag}.out"
         assert main([*argv, "--output", str(path)]) == 0
         return path.read_bytes()
 
-    first = [capture(f"a{i}", argv) for i, argv in enumerate(CLI_COMMANDS)]
-    second = [capture(f"b{i}", argv) for i, argv in enumerate(CLI_COMMANDS)]
+    first = [capture(f"a{i}", argv) for i, argv in enumerate(COMMANDS)]
+    second = [capture(f"b{i}", argv) for i, argv in enumerate(COMMANDS)]
     assert first == second
-    tasks = [(i, argv) for _ in range(3) for i, argv in enumerate(CLI_COMMANDS)]
+    tasks = [(i, argv) for _ in range(3) for i, argv in enumerate(COMMANDS)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         futures = {
             pool.submit(capture, f"c{k}", argv): i

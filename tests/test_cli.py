@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from diagbench import chains, cli, density, diagonal, subsets
 from diagbench.cli import main
 
+from helpers import COMMANDS
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -728,12 +730,13 @@ def test_scan_runs_render_as_their_dict(monkeypatch):
         assert "".join(cli._json_chunks(payload)) == want
         chunks = cli._json_chunks(first, "\n  ")
         assert "".join(chunks) == json.dumps(dict(first), indent=2).replace("\n", "\n  ")
-        assert len(chunks) == (2 * -(-len(first) // block) + 1 if first else 1)
+        assert len(chunks) == 2 * sum(-(-len(keys) // block) for keys, _ in first.runs()) + 1
     assert cli._json_chunks(found_at_1) == ["{}", "\n"]
 
 
 def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
-    # %d would render True as 1 and 1.5 as 1: these take the generic member path.
+    # The int-map runs spell each value by str, True as True where JSON has true:
+    # these maps, with a bool or a float, take the generic member path.
     monkeypatch.setitem(cli._SCALARS, float, repr)  # json.dumps's text for a float
     for first in ({True: 1}, {1: 2, False: 3}, {1: True}, {1: 2, 3: False},
                   {1: 1.5}, {1: 2, 3: 4.0}, {1.5: 2}):
@@ -1108,21 +1111,6 @@ def test_generated_argvs_exit_0_or_2_with_one_error_line(argv):
 # --- determinism ------------------------------------------------------------------
 
 
-COMMANDS = (
-    ("diagonal", "--family", "random-below-26", "--depth", "8", "--prefix", "12",
-     "--candidate", "111111(0)", "--seed", "9"),
-    ("diagonal", "--family", "alt-24", "--depth", "12", "--format", "csv"),
-    ("subsets", "dovetail", "--count", "30"),
-    ("subsets", "figure1", "--n", "16", "--format", "json"),
-    ("subsets", "table1", "--n", "2520", "--format", "json"),
-    ("density", "rho", "--a", "real", "--b", "complex"),
-    ("density", "figure2", "--max", "1000", "--format", "json"),
-    ("density", "grid", "--n", "9"),
-    ("chains", "preset", "cda"),
-    ("chains", "analyze", "--expr", "~P <=> Q1 <=> Q2 => Q3 => CONTRA"),
-)
-
-
 def test_repeated_runs_are_byte_identical(capsys):
     for argv in COMMANDS:
         first = run(capsys, *argv)
@@ -1138,23 +1126,6 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert main([*argv, "--output", str(path)]) == 0
     capsys.readouterr()
     assert path.read_text(encoding="utf-8") == out
-
-
-def test_concurrent_runs_match_serial_ones(tmp_path):
-    def to_file(tag, argv):
-        path = tmp_path / f"task-{tag}.out"
-        code = main([*argv, "--output", str(path)])
-        return code, path.read_bytes()
-
-    serial = [to_file(f"ref-{i}", argv) for i, argv in enumerate(COMMANDS)]
-    tasks = [(i, argv) for argv in (COMMANDS,) * 3 for i, argv in enumerate(argv)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        futures = {
-            pool.submit(to_file, f"run-{k}", argv): i
-            for k, (i, argv) in enumerate(tasks)
-        }
-        for fut, i in futures.items():
-            assert fut.result() == serial[i]
 
 
 def test_module_entry_point():

@@ -620,10 +620,9 @@ def test_a_family_scan_map_behaves_as_its_dict(kind, randomize):
         for key in (1, True, 1.0, 1.5, len(want), len(want) + 1):
             assert answer(m, key) == answer(want, key)
         assert repr(m) == repr(want) and dict(m) == want
-        # The members of a window of keys, as the CLI renders them block by block.
-        for lo, hi in ((1, depth + 1), (1, 9), (16, 19), (17, 18), (18, depth + 9), (41, 50)):
-            assert m.members(lo, hi, ",\n  ") == ",\n  ".join(
-                f'"{n}": {j}' for n, j in want.items() if lo <= n < hi)
+        # The runs, from which the CLI renders the map, rebuild its items in order.
+        assert [(n, n if j is None else j) for keys, j in m.runs() for n in keys] == list(
+            want.items())
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(m, protocol)) == want
         assert report == DiagonalReport(anti, Fraction(1), depth, found, want)
