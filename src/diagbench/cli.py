@@ -9,12 +9,12 @@ JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
 CSV has a header row, "\n" line endings and no quoting, each row one join of
 its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
 its first byte is written, so a run that fails writes nothing to stdout and
-creates no --output file.  A CSV chunk is one line.  JSON is split by one rule
-(_json_chunks): a non-empty dict gives one chunk per member, its value split
-alike, but an int-to-int map (a dict of ints, or a family scan's runs, ints by
-construction) is spelt from (keys, values) runs, one chunk per _BLOCK members
-of a run; an iterator, or a non-empty list or tuple not all ints, one per item,
-each rendered whole by _json; anything else is one chunk.
+creates no --output file.  A CSV chunk is one line.  One function renders
+JSON, _json_chunks, and splits it by one rule: an int-to-int map (a dict of
+ints, or a family scan's runs, ints by construction) gives one chunk per _BLOCK
+members of a (keys, values) run; another dict, one per member, but a key and
+its value's own chunks where the value is no scalar; an iterator, or a list or
+tuple not all ints, one per item, rendered whole; anything else one chunk.
 Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
 """
 
@@ -97,47 +97,25 @@ _SCALARS = {
 
 def _key(key) -> str:
     # json.dumps quotes the text of a non-str key (an int, a bool or None).
-    return encode_basestring_ascii(key if isinstance(key, str) else _json(key))
-
-
-def _json(value, indent="\n") -> str:
-    r"""value as json.dumps renders it at a two-space indent with _frac as its
-    default, nested at indent (a newline and the enclosing spaces).
-
-    >>> _json({"q": [Fraction(1, 2), None, True], "first": {3: 1}})
-    '{\n  "q": [\n    "1/2",\n    null,\n    true\n  ],\n  "first": {\n    "3": 1\n  }\n}'
-    """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # Scalar encoders inline: grids render 10**4 small dicts, and a call shows.
-        name = encode_basestring_ascii if set(map(type, value)) == {str} else _key
-        members = [
-            f"{name(k)}: {s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(members) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if _ints(value):
-            return "[" + inner + _join_ints("," + inner, value) + indent + "]"
-        texts = [s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(texts) + indent + "]"
-    return _SCALARS[type(value)](value)
+    return encode_basestring_ascii(key if isinstance(key, str) else _SCALARS[type(key)](key))
 
 
 def _json_chunks(value, indent="\n") -> list:
-    """_json(value, indent) as a list of strings split by the module's chunk rule,
-    so that no string holds a large payload's text; a top-level one ends in a newline."""
+    r"""value as json.dumps renders it at a two-space indent with _frac as its
+    default, nested at indent (a newline and the enclosing spaces), as a list of
+    strings split by the module's chunk rule; a top-level one ends in a newline.
+
+    >>> "".join(_json_chunks({"q": [Fraction(1, 2), None, True], "first": {3: 1}}))
+    '{\n  "q": [\n    "1/2",\n    null,\n    true\n  ],\n  "first": {\n    "3": 1\n  }\n}\n'
+    """
     inner = indent + "  "
     sep = "," + inner
-    runs = value.runs() if hasattr(value, "runs") else isinstance(value, dict) and _ints(
-        value) and _ints(value.values()) and [(list(value), list(value.values()))]
-    if runs:  # an int-to-int map as (keys, values) runs: a family scan's three, a dict's one
+    kinds = isinstance(value, dict) and set(map(type, value))  # one scan of a dict's keys
+    runs = value.runs() if hasattr(value, "runs") else kinds == {int} and _ints(
+        value.values()) and [(list(value), list(value.values()))]
+    if runs or isinstance(value, dict):
         out = ["{" + inner]
-        for keys, values in runs:
+        for keys, values in runs or ():  # an int-to-int map: a family scan's runs, a dict's one
             for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
                 texts = list(map(str, keys[lo:lo + _BLOCK]))  # each key's text made once
                 if type(values) is int:  # a constant value goes into the join's separator
@@ -146,22 +124,25 @@ def _json_chunks(value, indent="\n") -> list:
                     pairs = zip(texts, texts if values is None else
                                 map(str, values[lo:lo + _BLOCK]))
                     out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
-        out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": empty runs
-    elif isinstance(value, dict) and value:
-        out = ["{" + inner]
-        for key, item in value.items():
-            out.append(_key(key) + ": ")
-            out += _json_chunks(item, inner)  # no tuple copy of an iterator's chunks
-            out.append(sep)
-        out[-1] = indent + "}"
-    elif hasattr(value, "__next__") or (
-            isinstance(value, (list, tuple)) and value and not _ints(value)):
+        name = encode_basestring_ascii if kinds == {str} else _key
+        for key, item in () if runs else value.items():  # any other dict's members
+            if s := _SCALARS.get(type(item)):  # a scalar inline: grids render 10**4 small dicts
+                out += (f"{name(key)}: {s(item)}", sep)
+            else:
+                out.append(name(key) + ": ")
+                out += _json_chunks(item, inner)  # no tuple copy of an iterator's chunks
+                out.append(sep)
+        out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": an empty dict or runs
+    elif isinstance(value, (list, tuple)) and _ints(value):
+        out = ["[" + inner + _join_ints(sep, value) + indent + "]"]
+    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
         out = ["[" + inner]
         for item in value:
-            out += (_json(item, inner), sep)
-        out[-1] = indent + "]" if len(out) > 1 else "[]"  # "[]": an empty iterator
+            out += (s(item) if (s := _SCALARS.get(type(item))) else
+                    "".join(_json_chunks(item, inner)), sep)
+        out[-1] = indent + "]" if len(out) > 1 else "[]"  # "[]": an empty list or iterator
     else:
-        out = [_json(value, indent)]
+        out = [_SCALARS[type(value)](value)]
     if indent == "\n":
         out.append("\n")
     return out
@@ -487,13 +468,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def _write_output(path, chunks):
-    """Write the strings in chunks to path whole: through a temp file beside it
-    and os.replace.
+    """Write the strings in chunks to path whole, through a temp file beside it and os.replace.
 
     A failed write leaves no partial file.  A path that exists but is not a
-    regular file (a device or a pipe, e.g. /dev/stdout) is written in place.
+    regular file (a device or a pipe, e.g. /dev/stdout) is written in place, and
+    so is "", which open refuses: realpath would make it the working directory.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    if not path or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
@@ -526,7 +507,7 @@ def main(argv=None) -> int:
             chunks = _csv_chunks(*result)
         else:
             chunks = _json_chunks(result)
-        if args.output:
+        if args.output is not None:
             _write_output(args.output, chunks)
         else:
             sys.stdout.writelines(chunks)

@@ -677,7 +677,8 @@ _json_payloads = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=6),
         st.lists(inner, max_size=6).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), inner, max_size=6),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(), st.booleans(), st.none()),
+                        inner, max_size=6),
     ),
     max_leaves=25,
 )
@@ -690,6 +691,8 @@ def test_json_chunks_equal_json_dumps(payload):
     chunks = cli._json_chunks(payload)
     assert all(isinstance(chunk, str) for chunk in chunks)
     assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
+    nested = json.dumps(payload, indent=2, default=cli._frac).replace("\n", "\n  ")
+    assert "".join(cli._json_chunks(payload, "\n  ")) == nested
     if isinstance(payload, dict):  # a list value given as an iterator renders as the list
         lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
         assert "".join(cli._json_chunks(lazy)) == "".join(chunks)
@@ -743,27 +746,32 @@ def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
         payload = {"first_difference": first}
         assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
         chunks = cli._json_chunks(first, "\n  ")
-        assert "".join(chunks) == cli._json(first, "\n  ")
-        assert len(chunks) == 3 * len(first) + 1  # an opening, then a key, value and comma each
+        assert "".join(chunks) == json.dumps(first, indent=2).replace("\n", "\n  ")
+        assert len(chunks) == 2 * len(first) + 1  # an opening, then a member and a comma each
 
 
 def test_chunk_counts_follow_the_rule():
     # Items of a list stay whole, nested dicts or not; a dict's members split
-    # to any depth; an empty iterator is one "[]".
+    # to any depth, a member with a scalar value whole; an empty iterator is one "[]".
     items = [{"a": [1, "x"]}, [True, None], "s", 5, (1, 2)]
     chunks = cli._json_chunks(items)
     assert len(chunks) == 2 * len(items) + 2  # an opening, item and comma each, a newline
-    assert chunks[1:-2:2] == [cli._json(item, "\n  ") for item in items]
+    assert chunks[1:-2:2] == [json.dumps(item, indent=2).replace("\n", "\n  ") for item in items]
     c = {"kind": "converges", "limit": Fraction(1, 2), "tolerance": Fraction(1, 100)}
     payload = {"pair": "x/y", "classification": c, "annotations": {"P": {"Q": "R"}}}
     chunks = cli._json_chunks(payload)
-    # An opening; per member a key, its value's chunks and a comma; a newline.
-    assert len(chunks) == 1 + (2 + 1) + (2 + 1 + 3 * 3) + (2 + 1 + (2 + 1 + 3)) + 1
+    # An opening; per member with a scalar value the member and a comma, per other
+    # member a key, its value's chunks and a comma (the last comma is the closing);
+    # a newline.
+    classification = 1 + 3 * 2  # an opening and three scalar members
+    annotations = 1 + (1 + (1 + 2) + 1)  # {"P": {"Q": "R"}}
+    assert len(chunks) == 1 + 2 + (1 + classification + 1) + (1 + annotations + 1) + 1
     assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
     assert cli._json_chunks(iter(())) == ["[]", "\n"]
     assert cli._json_chunks({"subsets": iter(())}) == ["{\n  ", '"subsets": ', "[]", "\n}", "\n"]
     for scalar in ([], {}, [1, 2], "x", None):
-        assert cli._json_chunks(scalar, "\n  ") == [cli._json(scalar, "\n  ")]
+        want = json.dumps(scalar, indent=2).replace("\n", "\n  ")
+        assert cli._json_chunks(scalar, "\n  ") == [want]
 
 
 def test_no_chunk_of_a_scan_sized_int_map_exceeds_two_blocks():
@@ -792,10 +800,11 @@ def test_int_texts_equal_json_dumps_and_a_str_join(monkeypatch):
     ints, mixed = _int_lists(monkeypatch)
     for values in ints:
         for seq in (values, tuple(values)):
-            assert cli._json(seq, "\n  ") == json.dumps(seq, indent=2).replace("\n", "\n  ")
+            want = json.dumps(seq, indent=2).replace("\n", "\n  ")
+            assert "".join(cli._json_chunks(seq, "\n  ")) == want
             assert cli._join_ints(" ", seq) == " ".join(map(str, seq))
     for values in mixed:
-        assert cli._json(values) == json.dumps(values, indent=2)
+        assert "".join(cli._json_chunks(values)) == json.dumps(values, indent=2) + "\n"
         assert "".join(cli._json_chunks({"v": values})) == json.dumps({"v": values}, indent=2) + "\n"
 
 
@@ -894,6 +903,19 @@ def test_output_to_a_missing_directory_exits_2(tmp_path, capsys):
         f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(target)!r}"
     ]
     assert not target.parent.exists()
+
+
+def test_an_empty_output_path_exits_2(tmp_path, capsys, monkeypatch):
+    # os.path.realpath("") is the working directory: a write through it would
+    # leave its temp file in the parent.  An unset "$OUT" gives this argv.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(work.iterdir()), sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, "subsets", "rank", "--elements", "1,3", "--output", "")
+    assert code == 2 and out == ""
+    assert err == "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n"
+    assert (sorted(work.iterdir()), sorted(tmp_path.iterdir())) == before
 
 
 def test_failed_output_write_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch):
