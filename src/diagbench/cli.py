@@ -244,8 +244,8 @@ def _cmd_dovetail(args):
     # An iterator, rendered as the sweep yields: no list of subsets is held.
     subs = subsets.dovetail_iter(args.count)
     if args.format == "json":
-        return {"count": args.count, "subsets": (s.elements for s in subs)}
-    return ("index", "elements"), enumerate(_join_ints(" ", s.elements) for s in subs)
+        return {"count": args.count, "subsets": subs}
+    return ("index", "elements"), enumerate(_join_ints(" ", s) for s in subs)
 
 
 def _cmd_figure1(args):

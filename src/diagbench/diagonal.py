@@ -11,7 +11,6 @@ from it at position n, which is what the membership scan measures.  One table,
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from collections.abc import ItemsView, Mapping
 from enum import Enum
@@ -85,23 +84,24 @@ def _reject_decimal_options(antidiag_digits, randomize_subdiagonal) -> None:
 
 
 class ArraySpec(Record):
-    """Either an explicit finite array or a named rule family.
+    """Either an explicit finite array or a named rule family, with its radix.
 
-    Use the `explicit` and `family` constructors; the raw initializer does not
-    validate.
+    Use the `explicit` and `family` constructors, which set the radix: 10 for
+    an explicit array with any digit above 1 and for the decimal family, 2
+    otherwise.  The raw initializer validates nothing and takes the radix as given.
     """
 
-    # No __slots__: the cached radix lives in the instance __dict__.
-    _fields = ("rows", "kind", "seed", "antidiag_digits", "randomize_subdiagonal")
+    __slots__ = _fields = ("rows", "kind", "seed", "antidiag_digits",
+                           "randomize_subdiagonal", "radix")
 
     def __init__(self, rows: tuple | None = None, kind: Family | None = None, seed: int = 0,
                  antidiag_digits: EventuallyPeriodicString | None = None,
-                 randomize_subdiagonal: bool = False):
-        super().__init__(rows, kind, seed, antidiag_digits, randomize_subdiagonal)
+                 randomize_subdiagonal: bool = False, radix: int = 2):
+        super().__init__(rows, kind, seed, antidiag_digits, randomize_subdiagonal, radix)
 
     @classmethod
     def explicit(cls, rows) -> "ArraySpec":
-        held, cells, width = [], 0, None
+        held, cells, width, radix = [], 0, None, 2
         for r in rows:  # each row is checked, caps first, before it is held
             cells += len(r)
             if len(held) == SCAN_CAP:
@@ -113,12 +113,14 @@ class ArraySpec(Record):
                     raise DomainError("explicit rows must all have equal length" if held
                                       else "explicit rows must be nonempty")
                 width = len(r)
-            if not (r.isascii() and r.encode().isdigit()):  # _is_digits, inline
+            if not (r.isascii() and (b := r.encode()).isdigit()):  # _is_digits, inline
                 raise DomainError(f"row {r!r} contains a non-digit")
+            if radix == 2 and b.translate(None, b"01"):  # a digit above 1: decimal
+                radix = 10
             held.append(r)
         if not held:
             raise DomainError("explicit array needs at least one row")
-        return cls(rows=tuple(held))
+        return cls(rows=tuple(held), radix=radix)
 
     @classmethod
     def family(
@@ -143,21 +145,12 @@ class ArraySpec(Record):
             seed=seed,
             antidiag_digits=antidiag_digits,
             randomize_subdiagonal=randomize_subdiagonal,
+            radix=10 if kind is Family.DECIMAL_29 else 2,
         )
 
     @property
     def is_family(self) -> bool:
         return self.kind is not None
-
-    @functools.cached_property
-    def radix(self) -> int:
-        # Cached on the instance: an explicit array is scanned once, not per use.
-        if self.is_family:
-            return _rule(self)[0].radix
-        # Every row is ASCII digits, so deleting 0 and 1 leaves only non-binary ones.
-        deleted = map(bytes.translate, map(str.encode, self.rows), itertools.repeat(None),
-                      itertools.repeat(b"01"))
-        return 10 if any(deleted) else 2
 
 
 class _Runs(Mapping):

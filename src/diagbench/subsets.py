@@ -299,7 +299,7 @@ def extend_subsets(level, bound: int):
 
 
 def dovetail_enumerate(count: int):
-    """First `count` finite subsets in stage order, as a list.
+    """First `count` finite subsets in stage order, as a list of FiniteSubset.
 
     Stage t emits the rank-(t-p) p-subset for p = 1..t, after stage 0 emits
     the empty set; every finite subset appears exactly once.
@@ -307,11 +307,11 @@ def dovetail_enumerate(count: int):
     >>> [s.elements for s in dovetail_enumerate(7)]
     [(), (0,), (1,), (0, 1), (2,), (0, 2), (0, 1, 2)]
     """
-    return list(dovetail_iter(count))
+    return list(map(_trusted, dovetail_iter(count)))
 
 
 def dovetail_iter(count: int):
-    """dovetail_enumerate(count) as an iterator; count is checked at the call."""
+    """dovetail_enumerate(count) as an iterator of element tuples; count is checked at the call."""
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > DOVETAIL_CAP:
@@ -320,12 +320,11 @@ def dovetail_iter(count: int):
 
 
 def _stages():
-    # Every finite subset in stage order.  For each p the rank grows by one per
-    # stage, so one current p-subset is kept and stepped to its colexicographic
+    # Every finite subset's elements in stage order.  For each p the rank grows by
+    # one per stage, so one current p-subset is kept and stepped to its colexicographic
     # successor, with the index to grow next kept beside it as in Algorithm T
     # (Knuth, TAOCP 4A, 7.2.1.3).
-    of = _trusted
-    yield of(())
+    yield ()
     current = []  # current[p - 1] is the p-subset emitted in the last stage
     grow = []  # grow[p - 1] is the index of it that grows next, or -1 to scan for it
     for t in itertools.count(1):
@@ -341,10 +340,10 @@ def _stages():
                 c[:i] = range(i)
             c[i] += 1
             grow[p] = i - 1
-            yield of(tuple(c))
+            yield tuple(c)
         current.append(list(range(t)))
         grow.append(t - 1)
-        yield of(tuple(current[-1]))
+        yield tuple(current[-1])
 
 
 def encode_subset(s: FiniteSubset) -> int:

@@ -1192,6 +1192,30 @@ def test_importing_the_cli_stays_light():
     assert watched_after("import diagbench.cli") == "[]\n"
 
 
+def test_without_the_c_json_module_the_output_is_the_same(capsys):
+    # sys.modules["_json"] = None makes `from _json import ...` fail, so the CLI
+    # takes json.encoder's encoder, and json.encoder its pure-Python one.
+    argvs = [["chains", "analyze", "--script", str(DATA / "chains.txt")],
+             next(golden_argvs())]
+    expected = ""
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected += out
+    source = ("import sys\nsys.modules['_json'] = None\n"
+              "import diagbench.cli as cli\nimport json.encoder\n"
+              "assert cli.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii\n"
+              f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", source],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
+
+
 @pytest.mark.parametrize("argv,loaded", [
     (("diagonal", "--family", "lower-tri-22", "--depth", "3"),
      ["diagbench.diagonal", "diagbench.eps", "diagbench.rng"]),  # diagonal's own imports

@@ -416,6 +416,22 @@ def test_explicit_radix_follows_the_digits():
     assert spec_for(Family.ALT_24).radix == 2
 
 
+@pytest.mark.parametrize("kind", list(Family))
+def test_family_radix_is_its_antidiagonal_radix(kind):
+    # The field repeats what the family's rule says; this catches the two drifting.
+    for randomize in (False, True) if kind is Family.DECIMAL_29 else (False,):
+        spec = spec_for(kind, seed=5, randomize=randomize)
+        assert spec.radix == antidiagonal_rule(spec).radix
+
+
+def test_radix_survives_pickling():
+    specs = [spec_for(kind) for kind in Family]
+    specs += [ArraySpec.explicit(B4_ROWS), ArraySpec.explicit(["0101", "1102"])]
+    for spec in specs:
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and back.radix == spec.radix and not hasattr(back, "__dict__")
+
+
 def equal_rows(digits):
     return st.integers(1, 12).flatmap(lambda width: st.lists(
         st.text(digits, min_size=width, max_size=width), min_size=1, max_size=12))

@@ -2,12 +2,14 @@
 
 repr text, field-wise equality between instances of one class only, hashing,
 frozen fields, keyword construction and defaults, copying, and FiniteSubset's
-validation.  None of it depends on how the classes are implemented.
+validation; none of that depends on how the classes are implemented.  One test
+also checks that every record class declares its fields as __slots__.
 """
 
 import copy
-import functools
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -69,10 +71,11 @@ CASES = [
     ),
     (
         ArraySpec,
-        (None, Family.DECIMAL_29, 3, EPS.constant(10, 3), True),
-        ("rows", "kind", "seed", "antidiag_digits", "randomize_subdiagonal"),
+        (None, Family.DECIMAL_29, 3, EPS.constant(10, 3), True, 10),
+        ("rows", "kind", "seed", "antidiag_digits", "randomize_subdiagonal", "radix"),
         "ArraySpec(rows=None, kind=<Family.DECIMAL_29: 'decimal-29'>, seed=3, "
-        "antidiag_digits=EventuallyPeriodicString(10, '(3)'), randomize_subdiagonal=True)",
+        "antidiag_digits=EventuallyPeriodicString(10, '(3)'), randomize_subdiagonal=True, "
+        "radix=10)",
     ),
     (
         DiagonalReport,
@@ -175,7 +178,7 @@ def test_defaults():
     assert r.first_difference == {} and r.first_difference is not s.first_difference
     assert repr(ArraySpec()) == (
         "ArraySpec(rows=None, kind=None, seed=0, antidiag_digits=None, "
-        "randomize_subdiagonal=False)"
+        "randomize_subdiagonal=False, radix=2)"
     )
     assert FiniteSubset().elements == () and repr(FiniteSubset()) == "{}"
     with pytest.raises(TypeError):
@@ -189,17 +192,33 @@ def test_properties_and_classmethods():
     ast = ChainAST("P", ((Connective.IFF, "Q1"), (Connective.IMPLIES, "Q2")),
                    Terminal(*TERMINAL))
     assert ast.start == "~P" and ast.statements == ("Q1", "Q2")
-    assert isinstance(ArraySpec.__dict__["radix"], functools.cached_property)
     spec = ArraySpec.family(Family.ALT_24, seed=3)
-    assert spec == ArraySpec(kind=Family.ALT_24, seed=3)
-    before = hash(spec)
+    assert spec == ArraySpec(kind=Family.ALT_24, seed=3, radix=2)
     assert spec.is_family and spec.radix == 2
-    # The cached radix is no field: equality, hash and repr ignore it.
-    assert spec == ArraySpec(kind=Family.ALT_24, seed=3) and hash(spec) == before
-    assert "radix" not in repr(spec)
+    # The radix is a field: equality, hash and repr include it.
+    other = ArraySpec(kind=Family.ALT_24, seed=3, radix=10)
+    assert spec != other and hash(spec) != hash(other)
+    assert repr(spec).endswith(", radix=2)")
     explicit = ArraySpec.explicit(["01", "19"])
     assert explicit.rows == ("01", "19") and explicit.radix == 10
+    assert explicit == ArraySpec(rows=("01", "19"), radix=10)
     assert not explicit.is_family
+
+
+def test_every_record_class_has_slots_and_no_instance_dict():
+    import diagbench
+    import diagbench.record
+
+    modules = [importlib.import_module(f"diagbench.{info.name}")
+               for info in pkgutil.iter_modules(diagbench.__path__) if info.name != "__main__"]
+    found = {cls for module in modules for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, diagbench.record.Record)}
+    cases = CASES + [(EPS, (2, (), (1,)), ("radix", "preperiod", "period"), None)]
+    assert found == {case[0] for case in cases} | {diagbench.record.Record}
+    # Each class's slots hold exactly its fields, so no instance grows a __dict__.
+    for cls, values, names, text in cases:
+        assert "__slots__" in vars(cls) and cls.__slots__ == cls._fields == names
+        assert not hasattr(cls(*values), "__dict__")
 
 
 def test_finite_subset_validation():

@@ -480,7 +480,7 @@ def test_dovetail_matches_a_scan_only_successor():
     # kept index growing and a scan after the lowest element grew, occurs.
     for n in (0, 1, 2, 3, 20000):
         assert [s.elements for s in dovetail_enumerate(n)] == scan_dovetail(n)
-        assert [s.elements for s in dovetail_iter(n)] == scan_dovetail(n)
+        assert list(dovetail_iter(n)) == scan_dovetail(n)
 
 
 def test_trusted_construction_matches_the_public_constructor():
