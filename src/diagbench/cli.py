@@ -9,12 +9,14 @@ JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
 CSV has a header row, "\n" line endings and no quoting, each row one join of
 its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
 its first byte is written, so a run that fails writes nothing to stdout and
-creates no --output file.  A CSV chunk is one line.  One function renders
-JSON, _json_chunks, and splits it by one rule: an int-to-int map (a dict of
-ints, or a family scan's runs, ints by construction) gives one chunk per _BLOCK
-members of a (keys, values) run; another dict, one per member, but a key and
-its value's own chunks where the value is no scalar; an iterator, or a list or
-tuple not all ints, one per item, rendered whole; anything else one chunk.
+creates no --output file; _write then writes it in pieces of about 64 KiB, one
+write call each.  A CSV chunk is one line.  One function renders JSON,
+_json_chunks, and splits it by one rule: an int-to-int map (a dict of ints, or
+a family scan's runs) gives one chunk per _BLOCK members of a (keys, values)
+run; another dict, one per member, but a key and its value's own chunks where
+the value is no scalar; an iterator, or a list or tuple not all ints, one per
+item, rendered whole; anything else one chunk.  A family scan's runs and the
+items of an _IntTuples iterator are ints by construction: no _ints scan.
 Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
 """
 
@@ -95,6 +97,10 @@ _SCALARS = {
 }
 
 
+class _IntTuples(map):
+    """A map to tuples of exact ints by construction, which _json_chunks renders unscanned."""
+
+
 def _key(key) -> str:
     # json.dumps quotes the text of a non-str key (an int, a bool or None).
     return encode_basestring_ascii(key if isinstance(key, str) else _SCALARS[type(key)](key))
@@ -137,8 +143,10 @@ def _json_chunks(value, indent="\n") -> list:
         out = ["[" + inner + _join_ints(sep, value) + indent + "]"]
     elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
         out = ["[" + inner]
+        typed = type(value) is _IntTuples and sep + "  "  # the separator of a tuple's ints
         for item in value:
-            out += (s(item) if (s := _SCALARS.get(type(item))) else
+            out += (("[" + inner + "  " + _join_ints(typed, item) + inner + "]" if item else "[]")
+                    if typed else s(item) if (s := _SCALARS.get(type(item))) else
                     "".join(_json_chunks(item, inner)), sep)
         out[-1] = indent + "]" if len(out) > 1 else "[]"  # "[]": an empty list or iterator
     else:
@@ -244,7 +252,7 @@ def _cmd_dovetail(args):
     # An iterator, rendered as the sweep yields: no list of subsets is held.
     subs = subsets.dovetail_iter(args.count)
     if args.format == "json":
-        return {"count": args.count, "subsets": subs}
+        return {"count": args.count, "subsets": _IntTuples(tuple, subs)}
     return ("index", "elements"), enumerate(_join_ints(" ", s) for s in subs)
 
 
@@ -467,16 +475,29 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, chunks):
+    """fh.writelines(chunks) for a list of strings, in pieces of about 64 KiB, one write each."""
+    start = size = 0
+    for end, chunk in enumerate(chunks, 1):
+        size += len(chunk)
+        if size >= 65536:
+            fh.write("".join(chunks[start:end]))
+            start, size = end, 0
+    fh.write("".join(chunks[start:]))
+
+
 def _write_output(path, chunks):
-    """Write the strings in chunks to path whole, through a temp file beside it and os.replace.
+    """Write chunks to stdout if path is None, else whole to path, by a temp file and os.replace.
 
     A failed write leaves no partial file.  A path that exists but is not a
     regular file (a device or a pipe, e.g. /dev/stdout) is written in place, and
     so is "", which open refuses: realpath would make it the working directory.
     """
+    if path is None:
+        return _write(sys.stdout, chunks)
     if not path or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            _write(fh, chunks)
         return
     target = os.path.realpath(path)  # replace a symlink's target, not the link
     head, tail = os.path.split(target)
@@ -487,7 +508,7 @@ def _write_output(path, chunks):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            _write(fh, chunks)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -503,14 +524,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         result = args.func(args)
-        if args.format == "csv":
-            chunks = _csv_chunks(*result)
-        else:
-            chunks = _json_chunks(result)
-        if args.output is not None:
-            _write_output(args.output, chunks)
-        else:
-            sys.stdout.writelines(chunks)
+        chunks = _csv_chunks(*result) if args.format == "csv" else _json_chunks(result)
+        _write_output(args.output, chunks)
     except (WorkbenchError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,9 @@ from .errors import (
 from .record import Record
 
 # The first K subsets hold about (2K)^1.5 / 6 elements.  The CLI renders them as
-# the sweep yields and holds only its output text, so at this cap, as --output
-# children on 2 CPUs, JSON takes 1.6-2.8 s and 176 MB and CSV 1.0-1.6 s and 75 MB,
-# within the 10 s and 256 MB that tests/test_acceptance.py allows either format.
+# the sweep yields and holds only its output text, so at this cap, as CLI children
+# on 2 CPUs under PYTHONUNBUFFERED=1, to --output or stdout, JSON takes 0.8-1.3 s
+# and 176 MB and CSV 0.7-1.1 s and 75 MB, within the budget test's 10 s and 256 MB.
 DOVETAIL_CAP = 10**5
 FIGURE1_CAP = 2**10
 # Ranks at or above this do not print under Python's default limit of 4300

@@ -296,8 +296,8 @@ def test_dovetail_reaches_its_cap():
     ("csv", "index,elements\n0,\n1,0\n2,1\n3,0 1\n"),
 ], ids=["json", "csv"])
 def test_dovetail_at_its_cap_fits_the_budget(tmp_path, fmt, head):
-    # The CLI child at the cap, rendering as the sweep yields: 1.6-2.8 s and
-    # 176 MB (JSON) or 1.0-1.6 s and 75 MB (CSV) on 2 CPUs.  With the whole
+    # The CLI child at the cap, rendering as the sweep yields: 0.8-1.3 s and
+    # 176 MB (JSON) or 0.7-1.1 s and 75 MB (CSV) on 2 CPUs.  With the whole
     # subset list held before rendering, both formats took over 300 MB here.
     out = tmp_path / f"dovetail.{fmt}"
     _cli_child("subsets", "dovetail", "--count", DOVETAIL_CAP, "--format", fmt,

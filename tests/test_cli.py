@@ -267,6 +267,63 @@ def test_dovetail_output_matches_the_golden_digest(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == DOVETAIL_GOLDEN_SHA256[fmt]
 
 
+def test_unbuffered_stdout_writes_the_golden_bytes():
+    # Under PYTHONUNBUFFERED, sys.stdout writes straight through to the file
+    # descriptor, so each write call of the CLI is a system call of its own.
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagbench", "subsets", "dovetail", "--count", "12000",
+         "--format", "json"],
+        env={**os.environ, "PYTHONUNBUFFERED": "1",
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DOVETAIL_GOLDEN_SHA256["json"]
+
+
+class _CountingWriter(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("subsets", "dovetail", "--count", "12000", "--format", "json"),  # 24,007 chunks
+    ("density", "grid", "--n", "100"),  # 10,001 CSV lines
+], ids=("dovetail", "grid"))
+def test_stdout_is_written_in_pieces_of_64_kib(tmp_path, monkeypatch, argv):
+    stdout = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    path = tmp_path / "out"
+    assert main([*argv, "--output", str(path)]) == 0
+    text = stdout.getvalue()
+    assert path.read_text(encoding="utf-8") == text
+    assert text.isascii() and stdout.writes <= -(-len(text) // 65536) + 1
+
+
+def test_dovetail_tuples_render_unscanned(monkeypatch, capsys):
+    # The sweep's element tuples are ints by construction: no _ints scan meets
+    # one, and each renders as json.dumps renders its list.
+    scan = cli._ints
+
+    def ints(values):
+        assert type(values) is not tuple, "a dovetail tuple was scanned"
+        return scan(values)
+
+    monkeypatch.setattr(cli, "_ints", ints)
+    code, out, _ = run(capsys, "subsets", "dovetail", "--count", "300", "--format", "json")
+    subs = [s.elements for s in subsets.dovetail_enumerate(300)]
+    assert code == 0 and out == json.dumps({"count": 300, "subsets": subs}, indent=2) + "\n"
+    tuples = [(), (7,), (0, 511), (512, 10**20)]  # in and past the table of int texts
+    chunks = cli._json_chunks(cli._IntTuples(tuple, tuples), "\n    ")
+    assert "".join(chunks) == json.dumps(tuples, indent=2).replace("\n", "\n    ")
+    assert len(chunks) == 2 * len(tuples) + 1  # an opening, then an item and a comma each
+
+
 def test_table_rows(capsys):
     code, out, _ = run(
         capsys, "subsets", "table1", "--n", "40", "--labels", "n/2-1,n/4",
