@@ -2,22 +2,10 @@
 
 Output is byte-deterministic for a fixed argument list (including --seed).
 Each _cmd_* handler returns data, a JSON payload or under --format csv a
-(header, rows) pair, which main encodes once, by _json_chunks or _csv_chunks;
-a record list that grows with the input (subsets, array rows, grid cells,
-verdicts) comes as an iterator, each record dropped once its text is made.
-JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
-CSV has a header row, "\n" line endings and no quoting, each row one join of
-its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
-its first byte is written, so a run that fails writes nothing to stdout and
-creates no --output file; _write then writes it in pieces of about 64 KiB, one
-write call each.  A CSV chunk is one line.  One function renders JSON,
-_json_chunks, and splits it by one rule: an int-to-int map (a dict of ints, or
-a family scan's runs) gives one chunk per _BLOCK members of a (keys, values)
-run; another dict, one per member, but a key and its value's own chunks where
-the value is no scalar; an iterator, or a list or tuple not all ints, one per
-item, rendered whole; anything else one chunk.  A family scan's runs and the
-items of an _IntTuples iterator are ints by construction: no _ints scan.
-Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
+(header, rows) pair, which main encodes once, by render's _json_chunks or
+_csv_chunks; a record list that grows with the input (subsets, array rows,
+grid cells, verdicts) comes as an iterator, each record dropped once its text
+is made.  Exit codes: 0 success, 2 usage or domain error, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -27,14 +15,9 @@ import contextlib
 import os
 import re
 import sys
-from fractions import Fraction
-from operator import itemgetter
 
 from .errors import CapExceeded, DomainError, WorkbenchError
-try:  # json.encoder's C encoder, without json's decoder and scanner
-    from _json import encode_basestring_ascii
-except ImportError:
-    from json.encoder import encode_basestring_ascii
+from .render import _IntTuples, _csv_chunks, _join_ints, _json_chunks, _write_output
 
 # Literal choice names, so that building the parser imports no kernel module.
 _FAMILIES = ("lower-tri-22", "upper-tri-23", "alt-24", "alt-25", "random-below-26", "decimal-29")
@@ -54,120 +37,6 @@ SCRIPT_CAP = 2 * 10**4
 # Characters in one --explicit or --script file, as read.  A file at both
 # explicit-array caps, 10**6 rows of 10 digits, is 1.1 * 10**7 characters.
 FILE_CAP = 12 * 10**6
-
-_BLOCK = 4096  # members of one run of an int-to-int map per JSON chunk
-
-
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _ints(values) -> bool:
-    return set(map(type, values)) == {int}
-
-
-# The texts of the naturals below 512, filled on first use so that importing cli
-# builds nothing.  A dict, which a negative or larger int misses; a render that
-# reads it half-filled misses too, and writes the same text.
-_INT_TEXTS = {}
-
-
-def _join_ints(sep: str, ints) -> str:
-    """sep.join(map(repr, ints)) for a tuple or list of exact ints (a bool or
-    float would find its int's text)."""
-    if len(ints) < 2:  # itemgetter needs a key, and returns one text bare
-        return sep.join(map(repr, ints))
-    if not _INT_TEXTS:
-        _INT_TEXTS.update(enumerate(map(repr, range(512))))
-    try:
-        # The list lets the tuple be freed before the text is made, and its space
-        # reused: with the tuple alone a dovetail at its cap peaks 0.9 MB higher.
-        return sep.join(list(itemgetter(*ints)(_INT_TEXTS)))
-    except KeyError:
-        return sep.join(map(repr, ints))
-
-
-# json.dumps's text for a scalar, by exact type; a Fraction goes through _frac.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: repr,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): lambda _: "null",
-    Fraction: lambda f: f'"{_frac(f)}"',
-}
-
-
-class _IntTuples(map):
-    """A map to tuples of exact ints by construction, which _json_chunks renders unscanned."""
-
-
-def _key(key) -> str:
-    # json.dumps quotes the text of a non-str key (an int, a bool or None).
-    return encode_basestring_ascii(key if isinstance(key, str) else _SCALARS[type(key)](key))
-
-
-def _json_chunks(value, indent="\n") -> list:
-    r"""value as json.dumps renders it at a two-space indent with _frac as its
-    default, nested at indent (a newline and the enclosing spaces), as a list of
-    strings split by the module's chunk rule; a top-level one ends in a newline.
-
-    >>> "".join(_json_chunks({"q": [Fraction(1, 2), None, True], "first": {3: 1}}))
-    '{\n  "q": [\n    "1/2",\n    null,\n    true\n  ],\n  "first": {\n    "3": 1\n  }\n}\n'
-    """
-    inner = indent + "  "
-    sep = "," + inner
-    kinds = isinstance(value, dict) and set(map(type, value))  # one scan of a dict's keys
-    runs = value.runs() if hasattr(value, "runs") else kinds == {int} and _ints(
-        value.values()) and [(list(value), list(value.values()))]
-    if runs or isinstance(value, dict):
-        out = ["{" + inner]
-        for keys, values in runs or ():  # an int-to-int map: a family scan's runs, a dict's one
-            for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
-                texts = list(map(str, keys[lo:lo + _BLOCK]))  # each key's text made once
-                if type(values) is int:  # a constant value goes into the join's separator
-                    out += ('"' + f'": {values}{sep}"'.join(texts) + f'": {values}', sep)
-                else:  # None maps n -> n: each key's text is joined to itself
-                    pairs = zip(texts, texts if values is None else
-                                map(str, values[lo:lo + _BLOCK]))
-                    out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
-        name = encode_basestring_ascii if kinds == {str} else _key
-        for key, item in () if runs else value.items():  # any other dict's members
-            if s := _SCALARS.get(type(item)):  # a scalar inline: grids render 10**4 small dicts
-                out += (f"{name(key)}: {s(item)}", sep)
-            else:
-                out.append(name(key) + ": ")
-                out += _json_chunks(item, inner)  # no tuple copy of an iterator's chunks
-                out.append(sep)
-        out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": an empty dict or runs
-    elif isinstance(value, (list, tuple)) and _ints(value):
-        out = ["[" + inner + _join_ints(sep, value) + indent + "]"]
-    elif isinstance(value, (list, tuple)) or hasattr(value, "__next__"):
-        out = ["[" + inner]
-        typed = type(value) is _IntTuples and sep + "  "  # the separator of a tuple's ints
-        for item in value:
-            out += (("[" + inner + "  " + _join_ints(typed, item) + inner + "]" if item else "[]")
-                    if typed else s(item) if (s := _SCALARS.get(type(item))) else
-                    "".join(_json_chunks(item, inner)), sep)
-        out[-1] = indent + "]" if len(out) > 1 else "[]"  # "[]": an empty list or iterator
-    else:
-        out = [_SCALARS[type(value)](value)]
-    if indent == "\n":
-        out.append("\n")
-    return out
-
-
-# A CSV cell's text by exact type: _SCALARS's, but a str bare and a Fraction in
-# a num and a den column.  No cell holds a comma, quote or line break: none is quoted.
-_CELLS = {**_SCALARS, str: str, Fraction: lambda f: f"{f.numerator},{f.denominator}"}
-
-
-def _csv_chunks(header, rows) -> list:
-    """The CSV text of header and rows, one string to a line; rows may be an
-    iterator, consumed as each row's line is made."""
-    out = [",".join(header) + "\n"]
-    for row in rows:
-        out.append(",".join([_CELLS[type(cell)](cell) for cell in row]) + "\n")
-    return out
 
 
 # ---------------------------------------------------------------- diagonal
@@ -473,47 +342,6 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         "density ratios, and inference chains")
     _build(parser, _TREE, list(argv))
     return parser
-
-
-def _write(fh, chunks):
-    """fh.writelines(chunks) for a list of strings, in pieces of about 64 KiB, one write each."""
-    start = size = 0
-    for end, chunk in enumerate(chunks, 1):
-        size += len(chunk)
-        if size >= 65536:
-            fh.write("".join(chunks[start:end]))
-            start, size = end, 0
-    fh.write("".join(chunks[start:]))
-
-
-def _write_output(path, chunks):
-    """Write chunks to stdout if path is None, else whole to path, by a temp file and os.replace.
-
-    A failed write leaves no partial file.  A path that exists but is not a
-    regular file (a device or a pipe, e.g. /dev/stdout) is written in place, and
-    so is "", which open refuses: realpath would make it the working directory.
-    """
-    if path is None:
-        return _write(sys.stdout, chunks)
-    if not path or os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write(fh, chunks)
-        return
-    target = os.path.realpath(path)  # replace a symlink's target, not the link
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the requested path, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            _write(fh, chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diagbench import chains, cli, density, diagonal, subsets
+from diagbench import chains, cli, density, diagonal, render, subsets
 from diagbench.cli import main
 
 from helpers import COMMANDS
@@ -308,18 +308,18 @@ def test_stdout_is_written_in_pieces_of_64_kib(tmp_path, monkeypatch, argv):
 def test_dovetail_tuples_render_unscanned(monkeypatch, capsys):
     # The sweep's element tuples are ints by construction: no _ints scan meets
     # one, and each renders as json.dumps renders its list.
-    scan = cli._ints
+    scan = render._ints
 
     def ints(values):
         assert type(values) is not tuple, "a dovetail tuple was scanned"
         return scan(values)
 
-    monkeypatch.setattr(cli, "_ints", ints)
+    monkeypatch.setattr(render, "_ints", ints)
     code, out, _ = run(capsys, "subsets", "dovetail", "--count", "300", "--format", "json")
     subs = [s.elements for s in subsets.dovetail_enumerate(300)]
     assert code == 0 and out == json.dumps({"count": 300, "subsets": subs}, indent=2) + "\n"
     tuples = [(), (7,), (0, 511), (512, 10**20)]  # in and past the table of int texts
-    chunks = cli._json_chunks(cli._IntTuples(tuple, tuples), "\n    ")
+    chunks = render._json_chunks(render._IntTuples(tuple, tuples), "\n    ")
     assert "".join(chunks) == json.dumps(tuples, indent=2).replace("\n", "\n    ")
     assert len(chunks) == 2 * len(tuples) + 1  # an opening, then an item and a comma each
 
@@ -623,7 +623,7 @@ def test_no_csv_cell_of_the_golden_runs_needs_quoting():
                       for f in ((c.numerator, c.denominator) if type(c) is Fraction else (c,))]
             assert len(fields) == len(header), (argv, row)
             for f in fields:
-                assert cell.fullmatch(cli._CELLS[type(f)](f)), (argv, f)
+                assert cell.fullmatch(render._CELLS[type(f)](f)), (argv, f)
 
 
 # --help at every parser level, and argparse's usage errors: a bad choice for
@@ -745,40 +745,40 @@ _json_payloads = st.recursive(
 @given(_json_payloads)
 @example({"empty": [], "one": [[]]})
 def test_json_chunks_equal_json_dumps(payload):
-    chunks = cli._json_chunks(payload)
+    chunks = render._json_chunks(payload)
     assert all(isinstance(chunk, str) for chunk in chunks)
-    assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
-    nested = json.dumps(payload, indent=2, default=cli._frac).replace("\n", "\n  ")
-    assert "".join(cli._json_chunks(payload, "\n  ")) == nested
+    assert "".join(chunks) == json.dumps(payload, indent=2, default=render._frac) + "\n"
+    nested = json.dumps(payload, indent=2, default=render._frac).replace("\n", "\n  ")
+    assert "".join(render._json_chunks(payload, "\n  ")) == nested
     if isinstance(payload, dict):  # a list value given as an iterator renders as the list
         lazy = {k: iter(v) if isinstance(v, list) else v for k, v in payload.items()}
-        assert "".join(cli._json_chunks(lazy)) == "".join(chunks)
+        assert "".join(render._json_chunks(lazy)) == "".join(chunks)
 
 
 def test_int_maps_render_in_blocks_equal_to_json_dumps():
-    block = cli._BLOCK
+    block = render._BLOCK
     wide = {n: -n for n in range(-5000, 5001)}  # 10**4 + 1 members, several blocks
     wide[0] = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
     maps = [wide, {1: -wide[0]}, *(dict.fromkeys(range(k), k) for k in
                                    (block - 1, block, block + 1, 2 * block, 2 * block + 1))]
     for first in maps:
         payload = {"first_difference": first, "n": len(first)}
-        chunks = cli._json_chunks(payload)
+        chunks = render._json_chunks(payload)
         assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
-        assert len(cli._json_chunks(first, "\n  ")) == 2 * -(-len(first) // block) + 1
+        assert len(render._json_chunks(first, "\n  ")) == 2 * -(-len(first) // block) + 1
 
 
 def test_scan_runs_render_as_their_dict(monkeypatch):
     # A family scan's map is int-to-int by construction: it takes the block
     # path unscanned, and renders as json.dumps renders the dict it equals.
-    scan = cli._ints
+    scan = render._ints
 
     def ints(values):
         assert type(values) not in (diagonal._Runs, ValuesView), "a runs map was scanned"
         return scan(values)
 
-    monkeypatch.setattr(cli, "_ints", ints)
-    block = cli._BLOCK
+    monkeypatch.setattr(render, "_ints", ints)
+    block = render._BLOCK
     found_at_1 = diagonal._Runs(0, 0, None)
     one_run = diagonal._Runs(5, 5, None)
     shapes = [(0, 3, 2), (5, 9, 7), (0, 2 * block + 1, 2), *(
@@ -787,22 +787,22 @@ def test_scan_runs_render_as_their_dict(monkeypatch):
     for first in maps:
         payload = {"scan_depth": len(first), "found_at": None, "first_difference": first}
         want = json.dumps({**payload, "first_difference": dict(first)}, indent=2) + "\n"
-        assert "".join(cli._json_chunks(payload)) == want
-        chunks = cli._json_chunks(first, "\n  ")
+        assert "".join(render._json_chunks(payload)) == want
+        chunks = render._json_chunks(first, "\n  ")
         assert "".join(chunks) == json.dumps(dict(first), indent=2).replace("\n", "\n  ")
         assert len(chunks) == 2 * sum(-(-len(keys) // block) for keys, _ in first.runs()) + 1
-    assert cli._json_chunks(found_at_1) == ["{}", "\n"]
+    assert render._json_chunks(found_at_1) == ["{}", "\n"]
 
 
 def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
     # The int-map runs spell each value by str, True as True where JSON has true:
     # these maps, with a bool or a float, take the generic member path.
-    monkeypatch.setitem(cli._SCALARS, float, repr)  # json.dumps's text for a float
+    monkeypatch.setitem(render._SCALARS, float, repr)  # json.dumps's text for a float
     for first in ({True: 1}, {1: 2, False: 3}, {1: True}, {1: 2, 3: False},
                   {1: 1.5}, {1: 2, 3: 4.0}, {1.5: 2}):
         payload = {"first_difference": first}
-        assert "".join(cli._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
-        chunks = cli._json_chunks(first, "\n  ")
+        assert "".join(render._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+        chunks = render._json_chunks(first, "\n  ")
         assert "".join(chunks) == json.dumps(first, indent=2).replace("\n", "\n  ")
         assert len(chunks) == 2 * len(first) + 1  # an opening, then a member and a comma each
 
@@ -811,31 +811,31 @@ def test_chunk_counts_follow_the_rule():
     # Items of a list stay whole, nested dicts or not; a dict's members split
     # to any depth, a member with a scalar value whole; an empty iterator is one "[]".
     items = [{"a": [1, "x"]}, [True, None], "s", 5, (1, 2)]
-    chunks = cli._json_chunks(items)
+    chunks = render._json_chunks(items)
     assert len(chunks) == 2 * len(items) + 2  # an opening, item and comma each, a newline
     assert chunks[1:-2:2] == [json.dumps(item, indent=2).replace("\n", "\n  ") for item in items]
     c = {"kind": "converges", "limit": Fraction(1, 2), "tolerance": Fraction(1, 100)}
     payload = {"pair": "x/y", "classification": c, "annotations": {"P": {"Q": "R"}}}
-    chunks = cli._json_chunks(payload)
+    chunks = render._json_chunks(payload)
     # An opening; per member with a scalar value the member and a comma, per other
     # member a key, its value's chunks and a comma (the last comma is the closing);
     # a newline.
     classification = 1 + 3 * 2  # an opening and three scalar members
     annotations = 1 + (1 + (1 + 2) + 1)  # {"P": {"Q": "R"}}
     assert len(chunks) == 1 + 2 + (1 + classification + 1) + (1 + annotations + 1) + 1
-    assert "".join(chunks) == json.dumps(payload, indent=2, default=cli._frac) + "\n"
-    assert cli._json_chunks(iter(())) == ["[]", "\n"]
-    assert cli._json_chunks({"subsets": iter(())}) == ["{\n  ", '"subsets": ', "[]", "\n}", "\n"]
+    assert "".join(chunks) == json.dumps(payload, indent=2, default=render._frac) + "\n"
+    assert render._json_chunks(iter(())) == ["[]", "\n"]
+    assert render._json_chunks({"subsets": iter(())}) == ["{\n  ", '"subsets": ', "[]", "\n}", "\n"]
     for scalar in ([], {}, [1, 2], "x", None):
         want = json.dumps(scalar, indent=2).replace("\n", "\n  ")
-        assert cli._json_chunks(scalar, "\n  ") == [want]
+        assert render._json_chunks(scalar, "\n  ") == [want]
 
 
 def test_no_chunk_of_a_scan_sized_int_map_exceeds_two_blocks():
     payload = {"first_difference": {n: n for n in range(1, 10**5 + 1)}}
-    chunks = cli._json_chunks(payload)
+    chunks = render._json_chunks(payload)
     member = len(',\n    "100000": 100000')  # the longest member, with its separator
-    assert max(map(len, chunks)) <= 2 * cli._BLOCK * member
+    assert max(map(len, chunks)) <= 2 * render._BLOCK * member
     assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
 
 
@@ -843,9 +843,9 @@ def _int_lists(monkeypatch):
     """Lists of ints at and past the ends of cli's table of int texts, and lists
     that mix in a bool or a float, which must not read the table."""
     # The CLI prints no float; json.dumps's text for one is its repr.
-    monkeypatch.setitem(cli._SCALARS, float, repr)
-    cli._join_ints(",", [0, 1])  # fills the table
-    top = max(cli._INT_TEXTS)
+    monkeypatch.setitem(render._SCALARS, float, repr)
+    render._join_ints(",", [0, 1])  # fills the table
+    top = max(render._INT_TEXTS)
     huge = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
     ints = [[], [0], [top + 1], [0, top], [top, top + 1], [top + 1, 0, top],
             [-1, 0, 1], [-top, top], [huge, -huge, 0], list(range(top + 3))]
@@ -858,11 +858,11 @@ def test_int_texts_equal_json_dumps_and_a_str_join(monkeypatch):
     for values in ints:
         for seq in (values, tuple(values)):
             want = json.dumps(seq, indent=2).replace("\n", "\n  ")
-            assert "".join(cli._json_chunks(seq, "\n  ")) == want
-            assert cli._join_ints(" ", seq) == " ".join(map(str, seq))
+            assert "".join(render._json_chunks(seq, "\n  ")) == want
+            assert render._join_ints(" ", seq) == " ".join(map(str, seq))
     for values in mixed:
-        assert "".join(cli._json_chunks(values)) == json.dumps(values, indent=2) + "\n"
-        assert "".join(cli._json_chunks({"v": values})) == json.dumps({"v": values}, indent=2) + "\n"
+        assert "".join(render._json_chunks(values)) == json.dumps(values, indent=2) + "\n"
+        assert "".join(render._json_chunks({"v": values})) == json.dumps({"v": values}, indent=2) + "\n"
 
 
 def test_threads_that_fill_the_int_table_write_the_same_bytes(monkeypatch):
@@ -870,18 +870,18 @@ def test_threads_that_fill_the_int_table_write_the_same_bytes(monkeypatch):
     payload = {"ints": ints, "mixed": mixed, "more": [list(range(k)) for k in range(600)]}
     want_json = json.dumps(payload, indent=2) + "\n"
     want_cells = [" ".join(map(str, values)) for values in ints]
-    monkeypatch.setattr(cli, "_INT_TEXTS", {})  # unfilled: each thread may fill it
+    monkeypatch.setattr(render, "_INT_TEXTS", {})  # unfilled: each thread may fill it
     barrier = threading.Barrier(8)
 
-    def render(_):
+    def rendered(_):
         barrier.wait()
-        return "".join(cli._json_chunks(payload)), [cli._join_ints(" ", v) for v in ints]
+        return "".join(render._json_chunks(payload)), [render._join_ints(" ", v) for v in ints]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the GIL over often, inside the fill too
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(render, range(8), timeout=60))
+            results = list(pool.map(rendered, range(8), timeout=60))
     finally:
         sys.setswitchinterval(switch)
     assert results == [(want_json, want_cells)] * 8
@@ -1260,8 +1260,9 @@ def test_without_the_c_json_module_the_output_is_the_same(capsys):
         assert code == 0
         expected += out
     source = ("import sys\nsys.modules['_json'] = None\n"
-              "import diagbench.cli as cli\nimport json.encoder\n"
-              "assert cli.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii\n"
+              "import diagbench.cli as cli\nimport diagbench.render\nimport json.encoder\n"
+              "assert diagbench.render.encode_basestring_ascii is "
+              "json.encoder.py_encode_basestring_ascii\n"
               f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", source],
