@@ -1,5 +1,4 @@
-"""The CLI's output renderer: a JSON payload, or a CSV header and rows, as a list
-of strings (chunks), and the write of those chunks to stdout or to a file.
+"""The CLI's renderer: its output as a list of strings (chunks), and their write.
 
 JSON is json.dumps's text at a two-space indent, a rational as _frac's "p/q";
 CSV has a header row, "\n" line endings and no quoting, each row one join of
@@ -13,9 +12,9 @@ run; another dict, one per member, but a key and its value's own chunks where
 the value is no scalar; an iterator, or a list or tuple not all ints, one per
 item, rendered whole; anything else one chunk.  A family scan's runs and the
 items of an _IntTuples iterator are ints by construction: no _ints scan.
+In a family scan's run, whose keys are a range, a whole hundred 100q..100q + 99
+(q >= 1) is str(q).join of the run's template for it, split at the keys' prefix.
 """
-
-from __future__ import annotations
 
 import contextlib
 import os
@@ -79,6 +78,22 @@ def _key(key) -> str:
     return encode_basestring_ascii(key if isinstance(key, str) else _SCALARS[type(key)](key))
 
 
+def _range_run(keys: range, value, sep: str) -> list:
+    """_json_chunks's chunks of a family scan's run, keys a range of step 1 from 1 up, each
+    mapped to value (to itself if None): whole hundreds by the module's rule, others singly."""
+    member = ('"{0}": {0}' if value is None else f'"{{0}}": {value}').format
+    pieces = -(-keys.start // 100) < keys.stop // 100 and sep.join(
+        [member(f"@{d:02}") for d in range(100)]).split("@")  # a hundred split at its prefix
+    out = []
+    for lo in range(keys.start, keys.stop, _BLOCK):
+        hi = min(lo + _BLOCK, keys.stop)
+        first, last = -(-lo // 100), hi // 100  # the block's whole hundreds
+        head = range(lo, min(hi, 100 * first))
+        out += (sep.join([*map(member, head), *(str(q).join(pieces) for q in range(first, last)),
+                          *map(member, range(max(head.stop, 100 * last), hi))]), sep)
+    return out
+
+
 def _json_chunks(value, indent="\n") -> list:
     r"""value as json.dumps renders it at a two-space indent with _frac as its
     default, nested at indent (a newline and the enclosing spaces), as a list of
@@ -95,14 +110,12 @@ def _json_chunks(value, indent="\n") -> list:
     if runs or isinstance(value, dict):
         out = ["{" + inner]
         for keys, values in runs or ():  # an int-to-int map: a family scan's runs, a dict's one
+            if type(values) is not list:
+                out += _range_run(keys, values, sep)
+                continue
             for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
-                texts = list(map(str, keys[lo:lo + _BLOCK]))  # each key's text made once
-                if type(values) is int:  # a constant value goes into the join's separator
-                    out += ('"' + f'": {values}{sep}"'.join(texts) + f'": {values}', sep)
-                else:  # None maps n -> n: each key's text is joined to itself
-                    pairs = zip(texts, texts if values is None else
-                                map(str, values[lo:lo + _BLOCK]))
-                    out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
+                pairs = zip(map(str, keys[lo:lo + _BLOCK]), map(str, values[lo:lo + _BLOCK]))
+                out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
         name = encode_basestring_ascii if kinds == {str} else _key
         for key, item in () if runs else value.items():  # any other dict's members
             if s := _SCALARS.get(type(item)):  # a scalar inline: grids render 10**4 small dicts

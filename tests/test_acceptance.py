@@ -722,17 +722,17 @@ def test_a_file_of_whitespace_lines_at_its_cap_fits_the_budget(tmp_path):
 
 def test_a_family_scan_at_the_depth_cap_fits_the_budget(tmp_path):
     # A JSON report of SCAN_CAP first differences, as a child on 2 CPUs
-    # (Python 3.11): about 0.3-0.5 s and 37 MB for each of these families, most
+    # (Python 3.11): about 0.12-0.2 s and 36 MB for each of these families, most
     # of it the 22 MB of rendered text; the scan holds its map as three runs.
     # The candidate "11111(01)" leaves the antidiagonal "(1)" at 6 and misses:
-    # every later string first differs from it at 6 (0.25-0.5 s, 32 MB).
+    # every later string first differs from it at 6 (0.15-0.2 s, 32 MB).
     out = tmp_path / "report.json"
     full = (("alt-24",), ("random-below-26",),
             ("decimal-29", "--antidiag", "(3)", "--randomize-subdiagonal"))
     miss = ("lower-tri-22", "--candidate", "11111(01)")
     for family, last in [*((f, SCAN_CAP) for f in full), (miss, 6)]:
         _cli_child("diagonal", "--family", *family, "--seed", "7", "--depth", SCAN_CAP,
-                   "--output", out, seconds=10, mb=64)
+                   "--output", out, seconds=2, mb=64)
         with open(out, encoding="utf-8") as fh:
             text = fh.read()
         assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text

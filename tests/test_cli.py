@@ -794,6 +794,22 @@ def test_scan_runs_render_as_their_dict(monkeypatch):
     assert render._json_chunks(found_at_1) == ["{}", "\n"]
 
 
+def test_scan_runs_render_by_hundreds_as_their_dict():
+    # A family scan's run renders each whole hundred of its keys by one join and
+    # the keys around them one by one.  Its runs here start and end on both sides
+    # of a hundred and of a block's edge, lie below 100, or hold one member; the
+    # last run is constant, as in a miss (below 5, j 7), or absent, as in a full scan.
+    block = render._BLOCK
+    lengths = (0, 1, 2, 3, 99, 100, 101, 102, 199, block, block + 1, block + 2, block + 150)
+    for below in (0, 1, 5, 97, 98, 99, 100, 101, 199, block - 1, block, block + 1):
+        for size in (below + n for n in lengths):
+            first = diagonal._Runs(below, size, below + 2 if size > below else None)
+            want = json.dumps(dict(first.items()), indent=2)
+            assert "".join(render._json_chunks(first)) == want + "\n", (below, size)
+            nested = "".join(render._json_chunks(first, "\n    "))
+            assert nested == want.replace("\n", "\n    "), (below, size)
+
+
 def test_maps_with_a_bool_or_a_float_are_not_int_maps(monkeypatch):
     # The int-map runs spell each value by str, True as True where JSON has true:
     # these maps, with a bool or a float, take the generic member path.
