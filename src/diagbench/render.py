@@ -110,7 +110,7 @@ def _json_chunks(value, indent="\n") -> list:
     if runs or isinstance(value, dict):
         out = ["{" + inner]
         for keys, values in runs or ():  # an int-to-int map: a family scan's runs, a dict's one
-            if type(values) is not list:
+            if type(values) is not list:  # a family scan's run, its keys a range
                 out += _range_run(keys, values, sep)
                 continue
             for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
