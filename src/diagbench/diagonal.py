@@ -154,11 +154,11 @@ class ArraySpec(Record):
 
 
 class _Runs(Mapping):
-    """A family scan's first differences, read-only: on keys 1..size, n -> n up to
-    below, then below + 1 -> j, then n -> below + 1; equal to that dict, built in O(1)."""
+    """A scan's first differences, read-only, equal to their dict: runs (keys, value) of
+    ranges from 1 on, None mapping a key to itself, an int all to it, a list keys[i] to value[i]."""
 
-    def __init__(self, below: int, size: int, j: int | None):
-        self._keys, self._below, self._j = range(1, size + 1), below, j
+    def __init__(self, runs):
+        self._keys, self._runs = range(1, runs[-1][0].stop), runs
 
     def __len__(self):
         return len(self._keys)
@@ -167,32 +167,32 @@ class _Runs(Mapping):
         return iter(self._keys)
 
     def __getitem__(self, key):
-        try:  # an int in O(1); any other key by ==, so True and 1.0 find 1 as in a dict
-            n = self._keys.index(key) + 1
-        except ValueError:
-            raise KeyError(key) from None
-        return n if n <= self._below else self._j if n == self._below + 1 else self._below + 1
+        for keys, value in self._runs:  # at most three runs
+            try:  # an int in O(1); any other key by ==, so True and 1.0 find 1 as in a dict
+                i = keys.index(key)
+            except ValueError:
+                continue
+            return keys[i] if value is None else value[i] if type(value) is list else value
+        raise KeyError(key)
 
     def items(self):
         return _RunItems(self)
 
     def runs(self):
-        """The three runs as (keys, value) pairs, a value of None mapping each key to itself."""
-        keys, below = self._keys, self._below
-        return (keys[:below], None), (keys[below:below + 1], self._j), (keys[below + 1:], below + 1)
+        return self._runs
 
     def __repr__(self):
         return repr(dict(self.items()))
 
 
 class _RunItems(ItemsView):
-    def __iter__(self):  # the three runs at C level, with no getitem per member
+    def __iter__(self):  # the runs at C level, with no getitem per member
         return itertools.chain.from_iterable(
-            zip(keys, keys if value is None else itertools.repeat(value))
-            for keys, value in self._mapping.runs())
+            zip(keys, keys if value is None else value if type(value) is list
+                else itertools.repeat(value)) for keys, value in self._mapping.runs())
 
 
-class DiagonalReport(Record):  # holds a mapping (a dict, or a family scan's runs): unhashable
+class DiagonalReport(Record):  # holds a mapping (a scan's runs, or a dict): unhashable
     __slots__ = _fields = ("antidiagonal", "cover", "scan_depth", "found_at", "first_difference")
 
     def __init__(self, antidiagonal: EventuallyPeriodicString | str, cover: Fraction,
@@ -360,12 +360,14 @@ def _scan_family(spec, candidate, depth, prefix_len):
                 break
         else:
             found = m
+    keys = range(1, (depth if found is None else below) + 1)
     return DiagonalReport(
         antidiagonal=anti,
         cover=Fraction(1),
         scan_depth=depth,
         found_at=found,
-        first_difference=_Runs(below, depth if found is None else below, j),
+        first_difference=_Runs(((keys[:below], None), (keys[below:below + 1], j),
+                                (keys[below + 1:], below + 1))),
     )
 
 
@@ -390,7 +392,7 @@ def _scan_explicit(spec, candidate, depth):
         if not _is_digits(target):
             raise DomainError("candidate must be a digit string")
     rows = spec.rows[:depth]
-    diffs = {}
+    js = []
     found = None
     first = target[0]
     for n, r in enumerate(rows, start=1):
@@ -401,11 +403,11 @@ def _scan_explicit(spec, candidate, depth):
         if j is None:
             found = n
             break
-        diffs[n] = j
+        js.append(j)
     return DiagonalReport(
         antidiagonal=anti,
         cover=Fraction(len(anti), len(spec.rows)),
         scan_depth=len(rows),
         found_at=found,
-        first_difference=diffs,
+        first_difference=_Runs(((range(1, len(js) + 1), js),)),
     )

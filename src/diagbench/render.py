@@ -6,14 +6,14 @@ its cells' _CELLS texts.  Output is rendered whole, as a list of chunks, before
 its first byte is written, so a run that fails writes nothing to stdout and
 creates no --output file; _write then writes it in pieces of about 64 KiB, one
 write call each.  A CSV chunk is one line.  One function renders JSON,
-_json_chunks, and splits it by one rule: an int-to-int map (a dict of ints, or
-a family scan's runs) gives one chunk per _BLOCK members of a (keys, values)
-run; another dict, one per member, but a key and its value's own chunks where
-the value is no scalar; an iterator, or a list or tuple not all ints, one per
-item, rendered whole; anything else one chunk.  A family scan's runs and the
-items of an _IntTuples iterator are ints by construction: no _ints scan.
-In a family scan's run, whose keys are a range, a whole hundred 100q..100q + 99
-(q >= 1) is str(q).join of the run's template for it, split at the keys' prefix.
+_json_chunks, and splits it by one rule: a scan's runs map (diagonal._Runs)
+gives one chunk per _BLOCK members of a (keys, value) run; a dict, one per
+member, but a key and its value's own chunks where the value is no scalar; an
+iterator, or a list or tuple not all ints, one per item, rendered whole;
+anything else one chunk.  A scan's runs and the items of an _IntTuples iterator
+are ints by construction: no _ints scan.  In a family scan's run, whose value is
+no list, a whole hundred 100q..100q + 99 (q >= 1) is str(q).join of the run's
+template for it, split at the keys' prefix.
 """
 
 import contextlib
@@ -27,7 +27,7 @@ try:  # json.encoder's C encoder, without json's decoder and scanner
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-_BLOCK = 4096  # members of one run of an int-to-int map per JSON chunk
+_BLOCK = 4096  # members of one run of a scan's runs map per JSON chunk
 
 
 def _frac(f: Fraction) -> str:
@@ -104,24 +104,21 @@ def _json_chunks(value, indent="\n") -> list:
     """
     inner = indent + "  "
     sep = "," + inner
-    kinds = isinstance(value, dict) and set(map(type, value))  # one scan of a dict's keys
-    runs = value.runs() if hasattr(value, "runs") else kinds == {int} and _ints(
-        value.values()) and [(list(value), list(value.values()))]
+    runs = hasattr(value, "runs") and value.runs()
     if runs or isinstance(value, dict):
         out = ["{" + inner]
-        for keys, values in runs or ():  # an int-to-int map: a family scan's runs, a dict's one
-            if type(values) is not list:  # a family scan's run, its keys a range
+        for keys, values in runs or ():  # a scan's runs map, int-to-int by construction
+            if type(values) is not list:  # a family scan's run
                 out += _range_run(keys, values, sep)
                 continue
             for lo in range(0, len(keys), _BLOCK):  # a chunk per _BLOCK members of a run
-                pairs = zip(map(str, keys[lo:lo + _BLOCK]), map(str, values[lo:lo + _BLOCK]))
-                out += ('"' + (sep + '"').join(map('": '.join, pairs)), sep)
-        name = encode_basestring_ascii if kinds == {str} else _key
-        for key, item in () if runs else value.items():  # any other dict's members
+                pairs = zip(keys[lo:lo + _BLOCK], values[lo:lo + _BLOCK])
+                out += (sep.join(map('"%s": %s'.__mod__, pairs)), sep)
+        for key, item in () if runs else value.items():  # a dict's members
             if s := _SCALARS.get(type(item)):  # a scalar inline: grids render 10**4 small dicts
-                out += (f"{name(key)}: {s(item)}", sep)
+                out += (f"{_key(key)}: {s(item)}", sep)
             else:
-                out.append(name(key) + ": ")
+                out.append(_key(key) + ": ")
                 out += _json_chunks(item, inner)  # no tuple copy of an iterator's chunks
                 out.append(sep)
         out[-1] = indent + "}" if len(out) > 1 else "{}"  # "{}": an empty dict or runs

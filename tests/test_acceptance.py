@@ -610,13 +610,14 @@ def test_an_explicit_array_at_both_caps_fits_the_budget(tmp_path):
 
 
 def test_an_explicit_json_scan_at_scan_cap_fits_the_budget(tmp_path):
-    # Scanned SCAN_CAP deep, the one input that renders a large int-to-int dict:
-    # every row leads with a 0, so each first differs from the antidiagonal's
-    # 5s at digit 1.  About 0.9-1.1 s and 185 MB as a child on a 2-vCPU VM.
+    # Scanned SCAN_CAP deep, the one input that renders a large list run: every
+    # row leads with a 0, so each first differs from the antidiagonal's 5s at
+    # digit 1.  About 0.7-0.8 s and 95 MB as a child on a 2-vCPU VM, the peak
+    # of the same file scanned 100 deep.
     rows = _rows_at_both_caps(tmp_path)
     out = tmp_path / "rows.json"
     _cli_child("diagonal", "--explicit", rows, "--depth", SCAN_CAP, "--output", out,
-               seconds=10, mb=256)
+               seconds=10, mb=128)
     with open(out, encoding="utf-8") as fh:
         text = fh.read()
     assert f'"scan_depth": {SCAN_CAP},' in text and '"found_at": null,' in text

@@ -755,35 +755,55 @@ def test_json_chunks_equal_json_dumps(payload):
         assert "".join(render._json_chunks(lazy)) == "".join(chunks)
 
 
+def family_runs(below, size, j):
+    """A family scan's runs map on keys 1..size: n -> n up to below, then
+    below + 1 -> j, then n -> below + 1."""
+    keys = range(1, size + 1)
+    return diagonal._Runs(((keys[:below], None), (keys[below:below + 1], j),
+                           (keys[below + 1:], below + 1)))
+
+
+def list_runs(values):
+    """An explicit scan's runs map: n -> values[n - 1] on keys 1..len(values)."""
+    return diagonal._Runs(((range(1, len(values) + 1), values),))
+
+
 def test_int_maps_render_in_blocks_equal_to_json_dumps():
+    # A list run renders a chunk per _BLOCK members; a plain int dict, as any dict.
     block = render._BLOCK
-    wide = {n: -n for n in range(-5000, 5001)}  # 10**4 + 1 members, several blocks
-    wide[0] = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
-    maps = [wide, {1: -wide[0]}, *(dict.fromkeys(range(k), k) for k in
-                                   (block - 1, block, block + 1, 2 * block, 2 * block + 1))]
+    wide = [-n for n in range(-5000, 5001)]  # 10**4 + 1 members, several blocks
+    wide[5000] = 7 * 10**3999 + 1  # 4000 digits, under Python's limit for a str
+    maps = [list_runs(wide), list_runs([-wide[5000]]),
+            *(list_runs([k] * k) for k in (block - 1, block, block + 1, 2 * block, 2 * block + 1))]
     for first in maps:
         payload = {"first_difference": first, "n": len(first)}
         chunks = render._json_chunks(payload)
-        assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+        want = json.dumps({**payload, "first_difference": dict(first)}, indent=2) + "\n"
+        assert "".join(chunks) == want
+        assert "".join(render._json_chunks({**payload, "first_difference": dict(first)})) == want
         assert len(render._json_chunks(first, "\n  ")) == 2 * -(-len(first) // block) + 1
 
 
 def test_scan_runs_render_as_their_dict(monkeypatch):
-    # A family scan's map is int-to-int by construction: it takes the block
-    # path unscanned, and renders as json.dumps renders the dict it equals.
+    # A scan's map is int-to-int by construction: it takes the block path
+    # unscanned, and renders as json.dumps renders the dict it equals.  These
+    # payloads hold no list, so a list scanned is an explicit scan's run.
     scan = render._ints
 
     def ints(values):
-        assert type(values) not in (diagonal._Runs, ValuesView), "a runs map was scanned"
+        assert type(values) not in (diagonal._Runs, ValuesView, list), "a runs map was scanned"
         return scan(values)
 
     monkeypatch.setattr(render, "_ints", ints)
     block = render._BLOCK
-    found_at_1 = diagonal._Runs(0, 0, None)
-    one_run = diagonal._Runs(5, 5, None)
+    found_at_1 = family_runs(0, 0, None)
+    one_run = family_runs(5, 5, None)
     shapes = [(0, 3, 2), (5, 9, 7), (0, 2 * block + 1, 2), *(
         (m - 1, size, m + 3) for m in (block, block + 1) for size in (m, m + 1, 2 * block))]
-    maps = [found_at_1, one_run, *(diagonal._Runs(*shape) for shape in shapes)]
+    rows = [format(n % 7, "03b") for n in range(2 * block + 1)]  # no row is "111"
+    explicit = diagonal.membership_scan(diagonal.ArraySpec.explicit(rows), "111", len(rows))
+    maps = [found_at_1, one_run, *(family_runs(*shape) for shape in shapes),
+            explicit.first_difference]
     for first in maps:
         payload = {"scan_depth": len(first), "found_at": None, "first_difference": first}
         want = json.dumps({**payload, "first_difference": dict(first)}, indent=2) + "\n"
@@ -803,7 +823,7 @@ def test_scan_runs_render_by_hundreds_as_their_dict():
     lengths = (0, 1, 2, 3, 99, 100, 101, 102, 199, block, block + 1, block + 2, block + 150)
     for below in (0, 1, 5, 97, 98, 99, 100, 101, 199, block - 1, block, block + 1):
         for size in (below + n for n in lengths):
-            first = diagonal._Runs(below, size, below + 2 if size > below else None)
+            first = family_runs(below, size, below + 2 if size > below else None)
             want = json.dumps(dict(first.items()), indent=2)
             assert "".join(render._json_chunks(first)) == want + "\n", (below, size)
             nested = "".join(render._json_chunks(first, "\n    "))
@@ -848,11 +868,13 @@ def test_chunk_counts_follow_the_rule():
 
 
 def test_no_chunk_of_a_scan_sized_int_map_exceeds_two_blocks():
-    payload = {"first_difference": {n: n for n in range(1, 10**5 + 1)}}
-    chunks = render._json_chunks(payload)
+    first = list_runs(list(range(1, 10**5 + 1)))
+    chunks = render._json_chunks({"first_difference": first})
     member = len(',\n    "100000": 100000')  # the longest member, with its separator
     assert max(map(len, chunks)) <= 2 * render._BLOCK * member
+    payload = {"first_difference": dict(first)}
     assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(render._json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 def _int_lists(monkeypatch):

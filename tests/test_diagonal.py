@@ -18,6 +18,7 @@ from diagbench.diagonal import (
     Family,
     FlipPolicy,
     _is_digits,
+    _Runs,
     _rule,
     antidiagonal_finite,
     antidiagonal_rule,
@@ -464,11 +465,11 @@ def test_explicit_scan_finds_the_antidiagonal_late():
     assert report.antidiagonal == "1111"
     assert report.cover == Fraction(1, 4)
     assert sorted(report.first_difference) == list(range(1, 16))
-    assert type(report.first_difference) is dict  # a family scan's is a runs map
-    for n, pos in report.first_difference.items():
-        r = B4_ROWS[n - 1]
+    want = {}
+    for n, r in enumerate(B4_ROWS[:15], start=1):
         mismatches = [j for j in range(4) if r[j] != "1111"[j]]
-        assert pos == mismatches[0] + 1
+        want[n] = mismatches[0] + 1
+    assert_behaves_as_its_dict(report.first_difference, want)
 
 
 def test_explicit_scan_accepts_periodic_candidates():
@@ -593,6 +594,33 @@ def answer(mapping, key):
         return KeyError
 
 
+def assert_behaves_as_its_dict(m, want):
+    """A scan's first differences m, a runs map, reads as the dict want in every way."""
+    assert type(m) is _Runs
+    assert m == want and want == m and not m != want and not want != m
+    assert m != {**want, 0: 0} and want != {**m, len(m) + 1: 1}
+    assert (len(m), list(m)) == (len(want), list(want))
+    assert all(n in m for n in want) and m.get(1) == want.get(1)
+    assert m.get(0) is None and m.get(len(want) + 1, "none") == "none"
+    for view, want_view in ((m.keys(), want.keys()), (m.values(), want.values()),
+                            (m.items(), want.items())):
+        assert len(view) == len(want_view)
+        assert list(view) == list(want_view) == list(view)  # a view iterates again
+    assert m.items() == want.items() and m.keys() == want.keys()
+    for key in (0, len(want) + 1, "1"):
+        assert key not in m
+        with pytest.raises(KeyError):
+            m[key]
+    for key in (1, True, 1.0, 1.5, len(want), len(want) + 1):
+        assert answer(m, key) == answer(want, key)
+    assert repr(m) == repr(want) and dict(m) == want
+    # The runs, from which the CLI renders the map, rebuild its items in order.
+    assert [(n, n if v is None else v[i] if type(v) is list else v)
+            for keys, v in m.runs() for i, n in enumerate(keys)] == list(want.items())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(m, protocol)) == want
+
+
 @pytest.mark.parametrize(
     "kind,randomize", [(k, False) for k in Family] + [(Family.DECIMAL_29, True)]
 )
@@ -616,33 +644,33 @@ def test_a_family_scan_map_behaves_as_its_dict(kind, randomize):
     for cand, window in itertools.product(candidates, (None, 64)):
         report = membership_scan(sp, cand, depth, window)
         found, want = dict_scan(sp, cand, depth, depth if window is None else window)
-        m = report.first_difference
-        assert report.found_at == found and type(m) is not dict
+        assert report.found_at == found
         hits.add(found)
-        assert m == want and want == m and not m != want and not want != m
-        assert m != {**want, 0: 0} and want != {**m, len(m) + 1: 1}
-        assert (len(m), list(m)) == (len(want), list(want))
-        assert all(n in m for n in want) and m.get(1) == want.get(1)
-        assert m.get(0) is None and m.get(depth + 1, "none") == "none"
-        for view, want_view in ((m.keys(), want.keys()), (m.values(), want.values()),
-                                (m.items(), want.items())):
-            assert len(view) == len(want_view)
-            assert list(view) == list(want_view) == list(view)  # a view iterates again
-        assert m.items() == want.items() and m.keys() == want.keys()
-        for key in (0, depth + 1, "1"):
-            assert key not in m
-            with pytest.raises(KeyError):
-                m[key]
-        for key in (1, True, 1.0, 1.5, len(want), len(want) + 1):
-            assert answer(m, key) == answer(want, key)
-        assert repr(m) == repr(want) and dict(m) == want
-        # The runs, from which the CLI renders the map, rebuild its items in order.
-        assert [(n, n if j is None else j) for keys, j in m.runs() for n in keys] == list(
-            want.items())
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(m, protocol)) == want
+        assert_behaves_as_its_dict(report.first_difference, want)
         assert report == DiagonalReport(anti, Fraction(1), depth, found, want)
     assert {None, 1} < hits  # misses, and hits at string 1 (an empty map) and later
+
+
+def test_an_explicit_scan_map_behaves_as_its_dict():
+    # b4.txt hit at row 16, missed on every row of its first 15, and hit at row 1
+    # (an empty map); then seeded random arrays, each against the naive scan.
+    b4 = ArraySpec.explicit(B4_ROWS)
+    scans = [(b4, "1111", 16), (ArraySpec.explicit(B4_ROWS[:15]), "1111", 15), (b4, "0000", 16)]
+    rng = random.Random(37)
+    for _ in range(60):
+        digits, width = rng.choice(("01", "0123456789")), rng.randint(1, 8)
+        rows = ["".join(rng.choices(digits, k=width)) for _ in range(rng.randint(1, 50))]
+        candidate = rng.choice([*rows, "".join(rng.choices(digits, k=width))])
+        scans.append((ArraySpec.explicit(rows), candidate, rng.randint(1, len(rows))))
+    hits = set()
+    for spec, candidate, depth in scans:
+        report = membership_scan(spec, candidate, depth)
+        found, want = naive_scan(lambda n, j: spec.rows[n - 1][j - 1],
+                                 lambda j: candidate[j - 1], depth, len(candidate))
+        assert report.found_at == found
+        hits.add(found)
+        assert_behaves_as_its_dict(report.first_difference, want)
+    assert {None, 1, 16} < hits
 
 
 def test_randomized_tail_does_not_change_scan_results():
